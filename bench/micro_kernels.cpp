@@ -1,7 +1,8 @@
 // Ablation D4 and kernel microbenchmarks (google-benchmark): the SIMD vs
 // scalar distance kernels the paper credits for part of its speedup,
-// plus the other per-series primitives (PAA, SAX conversion, mindist,
-// early abandoning, DTW, LB_Keogh).
+// plus the other per-series primitives (PAA, SAX conversion, the iSAX
+// lower-bound table and its batched kernels, early abandoning, DTW,
+// LB_Keogh).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,6 +11,7 @@
 #include "dist/dtw.h"
 #include "dist/euclidean.h"
 #include "dist/znorm.h"
+#include "index/node.h"
 #include "io/generator.h"
 #include "sax/mindist.h"
 #include "sax/paa.h"
@@ -112,16 +114,84 @@ void BM_SymbolsFromPaa(benchmark::State& state) {
 }
 BENCHMARK(BM_SymbolsFromPaa);
 
+// One full-cardinality bound through the per-query table (the name is
+// kept from the per-series function it replaced, so the committed
+// baseline key still tracks the bound's cost).
 void BM_MinDistPaaToSymbols(benchmark::State& state) {
   KernelFixture& f = Fixture();
+  SymbolBoundTable table;
+  table.BuildEd(f.query_paa, kSegments, kLength);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MinDistPaaToSymbolsSq(
-        f.query_paa, f.sax_rows[i], kSegments, kLength));
+    benchmark::DoNotOptimize(table.Bound(f.sax_rows[i]));
     i = (i + 1) % f.sax_rows.size();
   }
 }
 BENCHMARK(BM_MinDistPaaToSymbols);
+
+void BM_BoundTableBuildEd(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  SymbolBoundTable table;
+  for (auto _ : state) {
+    table.BuildEd(f.query_paa, kSegments, kLength);
+    benchmark::DoNotOptimize(table.data());
+  }
+}
+BENCHMARK(BM_BoundTableBuildEd);
+
+void BM_BoundTableBuildEnvelope(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  float lower_paa[kMaxSegments], upper_paa[kMaxSegments];
+  ComputeEnvelopePaaMinMax(f.env_lower, f.env_upper, kSegments, lower_paa,
+                           upper_paa);
+  SymbolBoundTable table;
+  for (auto _ : state) {
+    table.BuildEnvelope(lower_paa, upper_paa, kSegments, kLength);
+    benchmark::DoNotOptimize(table.data());
+  }
+}
+BENCHMARK(BM_BoundTableBuildEnvelope);
+
+// Batched bounds over the fixture's 1024 summaries, as the ParIS/ADS+
+// flat-array filter reads them (16-byte rows) and as MESSI reads a
+// leaf (24-byte LeafEntry rows). items_per_second is bounds per second.
+void BM_SymbolBoundsFlat(benchmark::State& state, KernelPolicy policy) {
+  KernelFixture& f = Fixture();
+  SymbolBoundTable table;
+  table.BuildEd(f.query_paa, kSegments, kLength);
+  std::vector<float> out(f.sax_rows.size());
+  for (auto _ : state) {
+    table.Bounds(f.sax_rows.data(), sizeof(SaxSymbols), f.sax_rows.size(),
+                 out.data(), policy);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * f.sax_rows.size());
+}
+BENCHMARK_CAPTURE(BM_SymbolBoundsFlat, scalar, KernelPolicy::kScalar);
+
+void BM_SymbolBoundsLeaf(benchmark::State& state, KernelPolicy policy) {
+  KernelFixture& f = Fixture();
+  SymbolBoundTable table;
+  table.BuildEd(f.query_paa, kSegments, kLength);
+  std::vector<LeafEntry> entries(f.sax_rows.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    entries[i].sax = f.sax_rows[i];
+    entries[i].id = i;
+  }
+  std::vector<float> out(entries.size());
+  for (auto _ : state) {
+    table.Bounds(entries.data(), sizeof(LeafEntry), entries.size(),
+                 out.data(), policy);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * entries.size());
+}
+BENCHMARK_CAPTURE(BM_SymbolBoundsLeaf, scalar, KernelPolicy::kScalar);
+
+#ifdef PARISAX_HAVE_AVX2
+BENCHMARK_CAPTURE(BM_SymbolBoundsFlat, avx2, KernelPolicy::kAvx2);
+BENCHMARK_CAPTURE(BM_SymbolBoundsLeaf, avx2, KernelPolicy::kAvx2);
+#endif
 
 void BM_ZNormalize(benchmark::State& state) {
   std::vector<float> buffer(kLength);

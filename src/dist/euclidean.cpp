@@ -65,13 +65,17 @@ float SquaredEuclideanEarlyAbandon(const float* a, const float* b, size_t n,
 #else
   (void)policy;
 #endif
+  // One running sum in point order, checked every block: a distance
+  // that is not abandoned has exactly SquaredEuclideanScalar's bits.
   float sum = 0.0f;
   size_t i = 0;
   while (i < n) {
     if (sum >= bound) return sum;  // abandoned: result is >= bound
-    const size_t len = std::min(kEarlyAbandonBlock, n - i);
-    sum += SquaredEuclideanScalar(a + i, b + i, len);
-    i += len;
+    const size_t end = std::min(i + kEarlyAbandonBlock, n);
+    for (; i < end; ++i) {
+      const float d = a[i] - b[i];
+      sum += d * d;
+    }
   }
   return sum;
 }

@@ -1,6 +1,7 @@
-// AVX2 squared-Euclidean kernel. This is the only translation unit in
-// the library compiled with -mavx2 (see CMakeLists.txt), so AVX2
-// instructions cannot leak into code paths that run on non-AVX2 CPUs.
+// AVX2 squared-Euclidean kernel. This and sax/mindist_avx2.cpp are the
+// only translation units in the library compiled with -mavx2 (see
+// CMakeLists.txt), so AVX2 instructions cannot leak into code paths
+// that run on non-AVX2 CPUs.
 // We deliberately avoid FMA intrinsics: -mavx2 does not imply FMA, and
 // the runtime dispatch in euclidean.cpp only checks for AVX2.
 #include "dist/euclidean.h"

@@ -177,10 +177,18 @@ Result<Neighbor> AdsIndex::SearchExact(SeriesView query,
 
   // Phase 2: serial mindist filtering over the flat SAX array.
   WallTimer filter;
+  SymbolBoundTable table;
+  table.BuildEd(paa, w, n);
   std::vector<SeriesId> candidates;
-  for (SeriesId i = 0; i < cache_.count(); ++i) {
-    const float lb = MinDistPaaToSymbolsSq(paa, cache_.At(i), w, n);
-    if (lb < best.distance_sq) candidates.push_back(i);
+  constexpr size_t kFilterBlock = 4096;
+  float lbs[kFilterBlock];
+  for (SeriesId begin = 0; begin < cache_.count(); begin += kFilterBlock) {
+    const size_t count = std::min(kFilterBlock, cache_.count() - begin);
+    table.Bounds(cache_.data() + begin, sizeof(SaxSymbols), count, lbs,
+                 options.kernel);
+    for (size_t r = 0; r < count; ++r) {
+      if (lbs[r] < best.distance_sq) candidates.push_back(begin + r);
+    }
   }
   if (stats != nullptr) {
     stats->lb_checks += cache_.count();

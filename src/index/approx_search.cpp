@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sax/mindist.h"
@@ -30,32 +31,37 @@ Result<Neighbor> LeafSearchImpl(const SaxTree& tree, LeafStorage* storage,
   // query (the BSF seed just gets slightly looser, exactness is
   // unaffected).
   constexpr size_t kSeekBoundProbeLimit = 32;
+  std::vector<SeriesId> ids(entries.size());
   if (seek_bound && entries.size() > kSeekBoundProbeLimit) {
-    const size_t w = tree.options().segments;
-    const size_t n = tree.options().series_length;
-    std::partial_sort(
-        entries.begin(), entries.begin() + kSeekBoundProbeLimit,
-        entries.end(), [&](const LeafEntry& a, const LeafEntry& b) {
-          return MinDistPaaToSymbolsSq(paa, a.sax, w, n) <
-                 MinDistPaaToSymbolsSq(paa, b.sax, w, n);
-        });
-    entries.resize(kSeekBoundProbeLimit);
+    SymbolBoundTable table;
+    table.BuildEd(paa, tree.options().segments, tree.options().series_length);
+    std::vector<float> lbs(entries.size());
+    table.Bounds(entries.data(), sizeof(LeafEntry), entries.size(),
+                 lbs.data(), kernel);
+    // (bound, id) is a total order, so the probed members do not depend
+    // on the leaf's entry order.
+    std::vector<std::pair<float, SeriesId>> ranked(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      ranked[i] = {lbs[i], entries[i].id};
+    }
+    std::partial_sort(ranked.begin(), ranked.begin() + kSeekBoundProbeLimit,
+                      ranked.end());
+    ids.resize(kSeekBoundProbeLimit);
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = ranked[i].second;
+  } else {
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = entries[i].id;
   }
   // Fetch raw series in position order: on disk this turns the leaf's
   // scattered reads into a forward sweep.
-  std::sort(entries.begin(), entries.end(),
-            [](const LeafEntry& a, const LeafEntry& b) {
-              return a.id < b.id;
-            });
-  for (const LeafEntry& e : entries) {
+  std::sort(ids.begin(), ids.end());
+  for (const SeriesId id : ids) {
     SeriesView view;
-    PARISAX_RETURN_IF_ERROR(fetch(e.id, &view));
+    PARISAX_RETURN_IF_ERROR(fetch(id, &view));
     const float d =
         SquaredEuclideanEarlyAbandon(query, view, best.distance_sq, kernel);
     if (stats != nullptr) stats->real_dist_calcs++;
-    if (d < best.distance_sq ||
-        (d == best.distance_sq && e.id < best.id)) {
-      best = Neighbor{e.id, d};
+    if (d < best.distance_sq || (d == best.distance_sq && id < best.id)) {
+      best = Neighbor{id, d};
     }
   }
   if (stats != nullptr) stats->leaves_inspected++;

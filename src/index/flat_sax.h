@@ -28,6 +28,9 @@ class FlatSaxCache {
     return data_[i];
   }
 
+  /// The summaries of ids [0, count()), contiguous in id order.
+  const SaxSymbols* data() const { return data_.data(); }
+
   /// Distinct ids may be written concurrently (distinct objects).
   SaxSymbols* MutableAt(SeriesId i) {
     assert(i < count_);

@@ -10,6 +10,7 @@
 #ifndef PARISAX_INDEX_NODE_H_
 #define PARISAX_INDEX_NODE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,6 +28,8 @@ struct LeafEntry {
   SaxSymbols sax;
   SeriesId id = 0;
 };
+// SymbolBoundTable::Bounds reads a leaf's entries as strided symbol rows.
+static_assert(offsetof(LeafEntry, sax) == 0);
 
 /// Reference to a chunk of LeafEntry records materialized in LeafStorage.
 struct LeafChunkRef {

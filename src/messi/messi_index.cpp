@@ -41,20 +41,22 @@ struct SharedQueue {
   bool done PARISAX_GUARDED_BY(mu) = false;
 };
 
-struct AtomicCounters {
-  std::atomic<uint64_t> lb_checks{0};
-  std::atomic<uint64_t> real_dist_calcs{0};
-  std::atomic<uint64_t> nodes_visited{0};
-  std::atomic<uint64_t> leaves_inspected{0};
-  std::atomic<uint64_t> queue_abandons{0};
+/// One worker's pruning counters. Each worker owns a cache line, so the
+/// hot loops bump plain integers; RunQueuedSearch sums them once after
+/// the parallel regions.
+struct alignas(64) SearchCounters {
+  uint64_t lb_checks = 0;
+  uint64_t real_dist_calcs = 0;
+  uint64_t nodes_visited = 0;
+  uint64_t leaves_inspected = 0;
+  uint64_t queue_abandons = 0;
 
   void FlushInto(QueryStats* stats) const {
-    if (stats == nullptr) return;
-    stats->lb_checks += lb_checks.load();
-    stats->real_dist_calcs += real_dist_calcs.load();
-    stats->nodes_visited += nodes_visited.load();
-    stats->leaves_inspected += leaves_inspected.load();
-    stats->queue_abandons += queue_abandons.load();
+    stats->lb_checks += lb_checks;
+    stats->real_dist_calcs += real_dist_calcs;
+    stats->nodes_visited += nodes_visited;
+    stats->leaves_inspected += leaves_inspected;
+    stats->queue_abandons += queue_abandons;
   }
 };
 
@@ -76,28 +78,34 @@ std::vector<Node*> CollectRoots(const ServingState& snap) {
 
 /// Tree traversal + priority-queue consumption shared by the ED-NN,
 /// ED-kNN and DTW-NN searches, over the merged root forest of one
-/// serving snapshot. `Policy` supplies the pruning bound, the
-/// node/entry lower bounds and the entry refinement:
+/// serving snapshot. `table` bounds leaf entries: each popped leaf's
+/// bounds come from one batched kernel call. `Policy` supplies the
+/// pruning bound, the node lower bound and the entry refinement:
 ///   float Bound() const;
 ///   float NodeLb(const Node&) const;
-///   void ProcessEntry(const LeafEntry&, AtomicCounters*, int worker);
-/// Everything mutable lives in the policy or on this stack frame, so any
-/// number of queued searches can run concurrently on different
-/// executors.
+///   void ProcessEntry(const LeafEntry&, float lb, SearchCounters*,
+///                     int worker);
+/// ProcessEntry compares `lb` against the *current* Bound(), so batching
+/// the bounds never weakens pruning. Everything mutable lives in the
+/// policy or on this stack frame, so any number of queued searches can
+/// run concurrently on different executors.
 template <typename Policy>
-void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
-                     int num_queues, Executor* exec,
-                     AtomicCounters* counters,
+void RunQueuedSearch(const std::vector<Node*>& roots,
+                     const SymbolBoundTable& table, KernelPolicy kernel,
+                     Policy* policy, int num_queues, Executor* exec,
+                     QueryStats* stats,
                      const CancellationToken* cancel = nullptr) {
   std::vector<SharedQueue> queues(num_queues);
   std::atomic<uint64_t> round_robin{0};
+  std::vector<SearchCounters> counters(exec->num_threads());
 
   // Stage 3a: parallel traversal, leaves into queues (round-robin for
   // load balance, as in the paper). Workers poll the cancel token per
   // node visit and bail out; the caller turns an expired token into
   // kDeadlineExceeded instead of returning the partial bound.
   WorkCounter root_counter(roots.size());
-  exec->Run([&](int) {
+  exec->Run([&](int worker) {
+    SearchCounters& local = counters[worker];
     std::vector<Node*> stack;
     size_t item;
     while (root_counter.NextItem(&item)) {
@@ -106,7 +114,7 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
         if (Expired(cancel)) return;
         Node* node = stack.back();
         stack.pop_back();
-        counters->nodes_visited.fetch_add(1, std::memory_order_relaxed);
+        ++local.nodes_visited;
         const float lb = policy->NodeLb(*node);
         if (lb >= policy->Bound()) continue;  // prune the whole subtree
         if (node->IsLeaf()) {
@@ -128,6 +136,8 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
   // the BSF is abandoned wholesale (everything below it is farther).
   std::atomic<uint64_t> start_counter{0};
   exec->Run([&](int worker) {
+    SearchCounters& local = counters[worker];
+    std::vector<float> lbs;
     const int k_queues = static_cast<int>(queues.size());
     const int start = static_cast<int>(
         start_counter.fetch_add(1, std::memory_order_relaxed) %
@@ -148,23 +158,31 @@ void RunQueuedSearch(const std::vector<Node*>& roots, Policy* policy,
             item = q.pq.top();
             if (item.lb >= policy->Bound()) {
               q.done = true;
-              counters->queue_abandons.fetch_add(1,
-                                                 std::memory_order_relaxed);
+              ++local.queue_abandons;
               break;
             }
             q.pq.pop();
           }
           if (Expired(cancel)) return;
           all_done = false;
-          counters->leaves_inspected.fetch_add(1, std::memory_order_relaxed);
-          for (const LeafEntry& e : item.leaf->entries()) {
-            policy->ProcessEntry(e, counters, worker);
+          ++local.leaves_inspected;
+          const std::vector<LeafEntry>& entries = item.leaf->entries();
+          lbs.resize(entries.size());
+          table.Bounds(entries.data(), sizeof(LeafEntry), entries.size(),
+                       lbs.data(), kernel);
+          local.lb_checks += entries.size();
+          for (size_t i = 0; i < entries.size(); ++i) {
+            policy->ProcessEntry(entries[i], lbs[i], &local, worker);
           }
         }
       }
       if (all_done) return;
     }
   });
+
+  if (stats != nullptr) {
+    for (const SearchCounters& c : counters) c.FlushInto(stats);
+  }
 }
 
 /// Thread-safe single best neighbor (1-NN result set). When a shared
@@ -225,12 +243,11 @@ struct EdNnPolicy {
     return MinDistPaaToWordSq(paa, node.word(), w, n);
   }
 
-  void ProcessEntry(const LeafEntry& e, AtomicCounters* counters,
+  void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
                     int /*worker*/) {
-    counters->lb_checks.fetch_add(1, std::memory_order_relaxed);
     const float bound = Bound();
-    if (MinDistPaaToSymbolsSq(paa, e.sax, w, n) >= bound) return;
-    counters->real_dist_calcs.fetch_add(1, std::memory_order_relaxed);
+    if (lb >= bound) return;
+    ++counters->real_dist_calcs;
     const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
                                                  bound, kernel);
     if (d < bound) result->Offer(e.id, d);
@@ -260,12 +277,11 @@ struct EdKnnPolicy {
     return MinDistPaaToWordSq(paa, node.word(), w, n);
   }
 
-  void ProcessEntry(const LeafEntry& e, AtomicCounters* counters,
+  void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
                     int /*worker*/) {
-    counters->lb_checks.fetch_add(1, std::memory_order_relaxed);
     const float bound = Bound();
-    if (MinDistPaaToSymbolsSq(paa, e.sax, w, n) >= bound) return;
-    counters->real_dist_calcs.fetch_add(1, std::memory_order_relaxed);
+    if (lb >= bound) return;
+    ++counters->real_dist_calcs;
     const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
                                                  bound, kernel);
     if (d < bound) {
@@ -299,17 +315,13 @@ struct DtwNnPolicy {
                                       node.word(), w, n);
   }
 
-  void ProcessEntry(const LeafEntry& e, AtomicCounters* counters,
+  void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
                     int worker) {
-    counters->lb_checks.fetch_add(1, std::memory_order_relaxed);
     float bound = Bound();
-    if (MinDistEnvelopePaaToSymbolsSq(env_lower_paa, env_upper_paa, e.sax, w,
-                                      n) >= bound) {
-      return;
-    }
+    if (lb >= bound) return;
     const SeriesView candidate = raw.series(e.id);
     if (LbKeoghSq(*env_lower, *env_upper, candidate, bound) >= bound) return;
-    counters->real_dist_calcs.fetch_add(1, std::memory_order_relaxed);
+    ++counters->real_dist_calcs;
     bound = Bound();
     const float d =
         DtwBand(query, candidate, band, bound, &(*scratches)[worker]);
@@ -580,13 +592,13 @@ Result<Neighbor> MessiIndex::SearchExact(SeriesView query,
 
   BestNeighbor result(seed, options.shared_bound);
   EdNnPolicy policy{snap->raw, paa, w, n, options.kernel, query, &result};
-  AtomicCounters counters;
+  SymbolBoundTable table;
+  table.BuildEd(paa, w, n);
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, &counters,
-                  options.cancel);
-  counters.FlushInto(stats);
+  RunQueuedSearch(roots, table, options.kernel, &policy, num_queues, exec,
+                  stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
@@ -631,13 +643,13 @@ Result<std::vector<Neighbor>> MessiIndex::SearchKnn(
 
   EdKnnPolicy policy{snap->raw, paa,   w,     n,
                      options.kernel, query, &heap, options.shared_bound};
-  AtomicCounters counters;
+  SymbolBoundTable table;
+  table.BuildEd(paa, w, n);
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, &counters,
-                  options.cancel);
-  counters.FlushInto(stats);
+  RunQueuedSearch(roots, table, options.kernel, &policy, num_queues, exec,
+                  stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
@@ -697,13 +709,13 @@ Result<Neighbor> MessiIndex::SearchExactDtw(SeriesView query,
                      &env_lower,      &env_upper,    w,
                      n,               options.dtw_band, query,
                      &result,         &scratches};
-  AtomicCounters counters;
+  SymbolBoundTable table;
+  table.BuildEnvelope(env_lower_paa, env_upper_paa, w, n);
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
   const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, &policy, num_queues, exec, &counters,
-                  options.cancel);
-  counters.FlushInto(stats);
+  RunQueuedSearch(roots, table, options.kernel, &policy, num_queues, exec,
+                  stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");

@@ -635,18 +635,6 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
     stats->approx_phase_seconds = approx_timer.ElapsedSeconds();
   }
 
-  // SAX summary of series `id` within the snapshot: the base's flat
-  // array, or the owning segment's rows.
-  const auto sax_at = [&snap](SeriesId id) -> const SaxSymbols* {
-    if (id < snap->base_count) return &snap->cache->At(id);
-    for (const auto& seg : snap->segments) {
-      if (id - seg->first < seg->count) {
-        return &seg->sax_rows[id - seg->first];
-      }
-    }
-    return nullptr;  // unreachable for id < snap->count
-  };
-
   // Phase 2: lower-bound workers filter the SAX summaries in parallel.
   // A shared cross-search bound (the shard router's BSF) tightens the
   // frozen filter bound: it can never drop below the query's true
@@ -657,29 +645,54 @@ Result<Neighbor> ParisIndex::SearchExact(SeriesView query,
   const float bsf0 = shared != nullptr
                          ? std::min(best.distance_sq, shared->Load())
                          : best.distance_sq;
-  std::vector<SeriesId> candidates(snap->count);
-  std::atomic<size_t> tail{0};
+  SymbolBoundTable table;
+  table.BuildEd(paa, w, n);
+  // The snapshot's summaries as id-ordered runs: the base's flat array,
+  // then each segment's rows.
+  struct SaxRun {
+    SeriesId first;
+    size_t count;
+    const SaxSymbols* rows;
+  };
+  std::vector<SaxRun> runs;
+  if (snap->base_count > 0) {
+    runs.push_back({0, snap->base_count, snap->cache->data()});
+  }
+  for (const auto& seg : snap->segments) {
+    runs.push_back({seg->first, seg->count, seg->sax_rows.data()});
+  }
+  std::vector<std::vector<SeriesId>> found(exec->num_threads());
   {
     WorkCounter counter(snap->count);
-    exec->Run([&](int) {
+    exec->Run([&](int worker) {
+      std::vector<float> lbs(std::min(options.filter_grain, snap->count));
+      std::vector<SeriesId>& out = found[worker];
       size_t begin, end;
       while (counter.NextBatch(options.filter_grain, &begin, &end)) {
         if (Expired(options.cancel)) return;
-        for (SeriesId i = begin; i < end; ++i) {
-          const float lb = MinDistPaaToSymbolsSq(paa, *sax_at(i), w, n);
-          if (lb < bsf0) {
-            candidates[tail.fetch_add(1, std::memory_order_relaxed)] = i;
+        for (const SaxRun& run : runs) {
+          const SeriesId lo = std::max<SeriesId>(begin, run.first);
+          const SeriesId hi = std::min<SeriesId>(end, run.first + run.count);
+          if (lo >= hi) continue;
+          table.Bounds(run.rows + (lo - run.first), sizeof(SaxSymbols),
+                       hi - lo, lbs.data(), options.kernel);
+          for (SeriesId i = lo; i < hi; ++i) {
+            if (lbs[i - lo] < bsf0) out.push_back(i);
           }
         }
       }
     });
   }
-  const size_t num_candidates = tail.load();
   if (Expired(options.cancel)) {
     return Status::DeadlineExceeded("query deadline expired mid-search");
   }
+  std::vector<SeriesId> candidates;
+  for (const std::vector<SeriesId>& part : found) {
+    candidates.insert(candidates.end(), part.begin(), part.end());
+  }
+  const size_t num_candidates = candidates.size();
   // Skip-sequential order for the raw-data reads.
-  std::sort(candidates.begin(), candidates.begin() + num_candidates);
+  std::sort(candidates.begin(), candidates.end());
   if (stats != nullptr) {
     stats->lb_checks += snap->count;
     stats->candidates += num_candidates;

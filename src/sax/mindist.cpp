@@ -1,4 +1,10 @@
+// Node-word bounds, the per-query bound table, its scalar kernel and the
+// kernel dispatch. This translation unit is compiled WITHOUT -mavx2 (the
+// AVX2 kernel lives in mindist_avx2.cpp), so the kScalar path stays safe
+// on CPUs without AVX2.
 #include "sax/mindist.h"
+
+#include <algorithm>
 
 #include "sax/breakpoints.h"
 
@@ -7,29 +13,20 @@ namespace parisax {
 namespace {
 
 /// Squared distance from point `p` to interval [lo, hi] (0 if inside).
+/// Branch-free: at most one of lo - p and p - hi is positive.
 inline float GapSq(float p, float lo, float hi) {
-  if (p < lo) {
-    const float d = lo - p;
-    return d * d;
-  }
-  if (p > hi) {
-    const float d = p - hi;
-    return d * d;
-  }
-  return 0.0f;
+  const float d = std::max(std::max(lo - p, p - hi), 0.0f);
+  return d * d;
 }
 
 /// Squared distance between interval [alo, ahi] and interval [blo, bhi].
 inline float IntervalGapSq(float alo, float ahi, float blo, float bhi) {
-  if (blo > ahi) {
-    const float d = blo - ahi;
-    return d * d;
-  }
-  if (bhi < alo) {
-    const float d = alo - bhi;
-    return d * d;
-  }
-  return 0.0f;
+  const float d = std::max(std::max(blo - ahi, alo - bhi), 0.0f);
+  return d * d;
+}
+
+inline float Scale(int w, size_t n) {
+  return static_cast<float>(n) / static_cast<float>(w);
 }
 
 }  // namespace
@@ -44,19 +41,7 @@ float MinDistPaaToWordSq(const float* query_paa, const SaxWord& word, int w,
     sum += GapSq(query_paa[s], table.RegionLow(bits, sym),
                  table.RegionHigh(bits, sym));
   }
-  return sum * (static_cast<float>(n) / static_cast<float>(w));
-}
-
-float MinDistPaaToSymbolsSq(const float* query_paa, const SaxSymbols& sax,
-                            int w, size_t n) {
-  const BreakpointTable& table = BreakpointTable::Get();
-  float sum = 0.0f;
-  for (int s = 0; s < w; ++s) {
-    const uint32_t sym = sax.symbols[s];
-    sum += GapSq(query_paa[s], table.RegionLow(kMaxCardBits, sym),
-                 table.RegionHigh(kMaxCardBits, sym));
-  }
-  return sum * (static_cast<float>(n) / static_cast<float>(w));
+  return sum * Scale(w, n);
 }
 
 float MinDistEnvelopePaaToWordSq(const float* env_lower_paa,
@@ -71,21 +56,65 @@ float MinDistEnvelopePaaToWordSq(const float* env_lower_paa,
                          table.RegionLow(bits, sym),
                          table.RegionHigh(bits, sym));
   }
-  return sum * (static_cast<float>(n) / static_cast<float>(w));
+  return sum * Scale(w, n);
 }
 
-float MinDistEnvelopePaaToSymbolsSq(const float* env_lower_paa,
-                                    const float* env_upper_paa,
-                                    const SaxSymbols& sax, int w, size_t n) {
+void SymbolBoundTable::BuildEd(const float* query_paa, int w, size_t n) {
   const BreakpointTable& table = BreakpointTable::Get();
-  float sum = 0.0f;
+  w_ = w;
+  scale_ = Scale(w, n);
   for (int s = 0; s < w; ++s) {
-    const uint32_t sym = sax.symbols[s];
-    sum += IntervalGapSq(env_lower_paa[s], env_upper_paa[s],
-                         table.RegionLow(kMaxCardBits, sym),
-                         table.RegionHigh(kMaxCardBits, sym));
+    const float p = query_paa[s];
+    for (int sym = 0; sym < kMaxCardinality; ++sym) {
+      const float region_lo = table.RegionLow(kMaxCardBits, sym);
+      const float region_hi = table.RegionHigh(kMaxCardBits, sym);
+      lut_[s][sym] = GapSq(p, region_lo, region_hi);
+    }
   }
-  return sum * (static_cast<float>(n) / static_cast<float>(w));
+}
+
+void SymbolBoundTable::BuildEnvelope(const float* env_lower_paa,
+                                     const float* env_upper_paa, int w,
+                                     size_t n) {
+  const BreakpointTable& table = BreakpointTable::Get();
+  w_ = w;
+  scale_ = Scale(w, n);
+  for (int s = 0; s < w; ++s) {
+    const float lo = env_lower_paa[s];
+    const float hi = env_upper_paa[s];
+    for (int sym = 0; sym < kMaxCardinality; ++sym) {
+      const float region_lo = table.RegionLow(kMaxCardBits, sym);
+      const float region_hi = table.RegionHigh(kMaxCardBits, sym);
+      lut_[s][sym] = IntervalGapSq(lo, hi, region_lo, region_hi);
+    }
+  }
+}
+
+void SymbolBoundTable::Bounds(const void* first, size_t stride, size_t count,
+                              float* out, KernelPolicy policy) const {
+  const auto* rows = static_cast<const uint8_t*>(first);
+#ifdef PARISAX_HAVE_AVX2
+  if (policy != KernelPolicy::kScalar && SimdAvailable()) {
+    SymbolBoundsAvx2(*this, rows, stride, count, out);
+    return;
+  }
+#else
+  (void)policy;
+#endif
+  SymbolBoundsScalar(*this, rows, stride, count, out);
+}
+
+void SymbolBoundsScalar(const SymbolBoundTable& table, const uint8_t* first,
+                        size_t stride, size_t count, float* out) {
+  const float* lut = table.data();
+  const int w = table.segments();
+  const float scale = table.scale();
+  for (size_t r = 0; r < count; ++r) {
+    const uint8_t* sym = first + r * stride;
+    float sum = 0.0f;
+    for (int s = 0; s < w; ++s) sum += lut[s * kMaxCardinality + sym[s]];
+    out[r] = sum * scale;
+  }
 }
 
 }  // namespace parisax

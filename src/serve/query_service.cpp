@@ -225,16 +225,25 @@ void QueryService::Execute(Task task) {
   // Deadline enforcement at dequeue: a task that expired while queued
   // completes with kDeadlineExceeded without touching the engine, so a
   // backlog of dead work drains at queue-pop speed instead of
-  // occupying serve lanes.
+  // occupying serve lanes. A request the backend can never serve keeps
+  // its typed capability rejection instead, so that answer does not
+  // depend on how long the task queued.
+  const SeriesView view(task.query.data(), task.query.size());
   if (Expired(task.request.cancel)) {
+    Status status = CheckRequestAgainstCapabilities(
+        backend_->capabilities(), backend_->series_length(),
+        backend_->algorithm_name(), view, task.request);
+    const bool expired = status.ok();
+    if (expired) {
+      status = Status::DeadlineExceeded("query deadline expired while queued");
+    }
     {
       MutexLock lock(&stats_mu_);
-      stats_.expired_in_queue++;
+      if (expired) stats_.expired_in_queue++;
       stats_.completed++;
       stats_.inflight--;
     }
-    task.promise.set_value(
-        Status::DeadlineExceeded("query deadline expired while queued"));
+    task.promise.set_value(std::move(status));
     inflight_.Done();
     return;
   }
@@ -257,7 +266,6 @@ void QueryService::Execute(Task task) {
       break;
   }
 
-  const SeriesView view(task.query.data(), task.query.size());
   // Exceptions must not escape: the promise and the inflight counter
   // have to resolve even if the engine throws (e.g. bad_alloc), or the
   // submitter's future breaks and Drain blocks forever.

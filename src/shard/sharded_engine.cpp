@@ -294,19 +294,27 @@ Result<AppendReport> ShardedEngine::Append(const Value* values, size_t count) {
     part.insert(part.end(), values + i * length, values + (i + 1) * length);
   }
 
-  // Shard-parallel appends. On a shard failure nothing below publishes
-  // (counters stay put), but sibling shards may already have grown —
+  // Count the batch before any shard publishes a row of it: a query
+  // racing this append may or may not see the new rows, but every id it
+  // can name is then below series_count().
+  series_count_.store(old_count + count, std::memory_order_release);
+
+  // Shard-parallel appends. On a shard failure the count rolls back and
+  // the epoch stays put, but sibling shards may already have grown —
   // as with Engine::Append's failure contract, discard the backend.
   std::vector<AppendReport> reports(n);
-  PARISAX_RETURN_IF_ERROR(ParallelOverShards(n, [&](size_t s) {
+  const Status appended_all = ParallelOverShards(n, [&](size_t s) {
     if (parts[s].empty()) return Status::OK();
     auto appended =
         shards_[s]->Append(parts[s].data(), parts[s].size() / length);
     if (!appended.ok()) return appended.status();
     reports[s] = std::move(appended).value();
     return Status::OK();
-  }));
-  series_count_.store(old_count + count, std::memory_order_release);
+  });
+  if (!appended_all.ok()) {
+    series_count_.store(old_count, std::memory_order_release);
+    return appended_all;
+  }
   append_epoch_.fetch_add(1, std::memory_order_acq_rel);
 
   AppendReport report;

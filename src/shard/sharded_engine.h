@@ -116,7 +116,8 @@ class ShardedEngine : public SearchBackend {
 
   size_t series_length() const override { return series_length_; }
   /// Total series across all shards. Grows under Append; safe to read
-  /// concurrently.
+  /// concurrently. An append raises it before its rows become
+  /// searchable, so every id an answer names is below it.
   size_t series_count() const override {
     return series_count_.load(std::memory_order_acquire);
   }

@@ -109,6 +109,26 @@ TEST(EuclideanTest, EarlyAbandonExactWhenUnderBound) {
   }
 }
 
+TEST(EuclideanTest, EarlyAbandonKeepsTheFullKernelsBitsUnderBound) {
+  // Oracles recompute answers with the full kernel and compare bits, so
+  // a distance that is not abandoned must equal it exactly under each
+  // policy (the scalar kernel keeps one running sum across blocks).
+  Rng rng(8);
+  for (const size_t n : {1u, 15u, 16u, 17u, 61u, 100u, 256u}) {
+    const auto a = RandomSeries(rng, n);
+    const auto b = RandomSeries(rng, n);
+    for (const KernelPolicy policy :
+         {KernelPolicy::kAuto, KernelPolicy::kScalar, KernelPolicy::kAvx2}) {
+      const float full = SquaredEuclidean(a.data(), b.data(), n, policy);
+      const float bound = full * 2.0f + 1.0f;
+      const float ea =
+          SquaredEuclideanEarlyAbandon(a.data(), b.data(), n, bound, policy);
+      EXPECT_EQ(ea, full) << "n=" << n
+                          << " policy=" << static_cast<int>(policy);
+    }
+  }
+}
+
 TEST(EuclideanTest, EarlyAbandonReturnsAtLeastBoundWhenAbandoned) {
   Rng rng(4);
   for (int trial = 0; trial < 30; ++trial) {

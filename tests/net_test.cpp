@@ -396,6 +396,38 @@ TEST(AdmissionTest, QueuedQueryPastDeadlineAnswersTyped) {
   EXPECT_EQ(stats.completed, doomed.size() + 1);
 }
 
+TEST(AdmissionTest, QueuedUnsupportedQueryKeepsItsCapabilityError) {
+  // A request the backend can never serve answers kNotSupported even
+  // when its deadline also lapsed in the queue: the typed rejection an
+  // oracle predicts from the capabilities must not depend on queueing
+  // delay.
+  const Dataset data = MakeData(2000, 19);
+  const Dataset queries = MakeQueries(1, 19);
+  EngineOptions options;
+  options.algorithm = Algorithm::kParisPlus;
+  options.num_threads = 2;
+  options.tree.segments = 8;
+  options.tree.leaf_capacity = 32;
+  auto engine = Engine::Build(SourceSpec::Borrowed(&data), options);
+  ASSERT_TRUE(engine.ok());
+  ASSERT_LT((*engine)->capabilities().max_k, 2u);
+
+  QueryServiceOptions sopts;
+  sopts.num_threads = 1;
+  auto service = QueryService::Create(engine->get(), sopts);
+  ASSERT_TRUE(service.ok());
+  SearchRequest knn;
+  knn.k = 2;
+  SubmitOptions submit;
+  submit.timeout = std::chrono::nanoseconds(1);
+  auto submitted = (*service)->TrySubmit(queries.series(0), knn, submit);
+  ASSERT_TRUE(submitted.ok());
+  auto response = submitted->get();
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kNotSupported);
+  EXPECT_EQ((*service)->stats().expired_in_queue, 0u);
+}
+
 // --- end-to-end server -----------------------------------------------------
 
 /// A minimal blocking protocol client over a real socket.

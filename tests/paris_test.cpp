@@ -194,6 +194,52 @@ TEST(ParisTest, QueryMatchesBruteForceUnderManyWorkerCounts) {
   }
 }
 
+TEST(ParisTest, FilterIsIndependentOfTheBoundKernel) {
+  // The flat-SAX filter scans the base array and every segment's rows
+  // in blocks that straddle their boundaries; every kernel policy must
+  // keep the same candidates (the bounds are bit-identical) and the
+  // exact answer.
+  const Dataset full = MakeData(3700);
+  Dataset base_part(3000, 64);
+  const Value* rows = full.series(0).data();
+  std::copy(rows, rows + 3000 * 64, base_part.mutable_series(0).data());
+  auto index = ParisIndex::Build(
+      std::make_unique<InMemorySource>(std::move(base_part)),
+      SmallBuild(2, true));
+  ASSERT_TRUE(index.ok());
+  InlineExecutor inline_exec;
+  // Two segments: ids [3000, 3450) and [3450, 3700).
+  ParisIndex& paris = **index;
+  ASSERT_TRUE(paris.Append(full.series(3000).data(), 450, &inline_exec).ok());
+  ASSERT_TRUE(paris.Append(full.series(3450).data(), 250, &inline_exec).ok());
+  const Dataset queries =
+      GenerateQueries(DatasetKind::kRandomWalk, 5, 64, 11);
+  ThreadPool pool(3);
+  ParisQueryOptions qopts;
+  qopts.num_workers = 3;
+  qopts.filter_grain = 1000;
+  for (size_t q = 0; q < queries.count(); ++q) {
+    const Neighbor oracle = BruteForceNn(
+        InMemorySource(&full), queries.series(q), KernelPolicy::kScalar);
+    QueryStats scalar;
+    for (const KernelPolicy kernel :
+         {KernelPolicy::kScalar, KernelPolicy::kAuto, KernelPolicy::kAvx2}) {
+      qopts.kernel = kernel;
+      QueryStats stats;
+      auto got = paris.SearchExact(queries.series(q), qopts, &pool, &stats);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got->id, oracle.id) << "q=" << q;
+      EXPECT_EQ(stats.lb_checks, full.count());
+      if (kernel == KernelPolicy::kScalar) {
+        scalar = stats;
+      } else {
+        EXPECT_EQ(stats.candidates, scalar.candidates) << "q=" << q;
+        EXPECT_EQ(stats.real_dist_calcs, scalar.real_dist_calcs) << "q=" << q;
+      }
+    }
+  }
+}
+
 TEST(ParisTest, QueryStatsShowPruning) {
   const Dataset data = MakeData(5000);
   auto index = ParisIndex::Build(Mem(data), SmallBuild(2, true));

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -382,6 +383,61 @@ TEST(ShardedEngineTest, QueryServiceStormOverShardedBackend) {
   auto restored = ShardedEngine::Open(manifest);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->series_count(), backend.series_count());
+}
+
+// Regression: Append used to publish the shards' new rows before
+// series_count() covered them, so a query racing the append could answer
+// with an id the backend did not count yet. Every round appends a batch
+// that carries an exact copy of the round's probe on each shard while
+// clients keep searching for that probe, so the first shard to publish
+// its rows holds the answer.
+TEST(ShardedEngineTest, AnswersNeverNameUncountedIds) {
+  constexpr size_t kShards = 4;
+  constexpr int kRounds = 16;
+  constexpr size_t kBatch = 4000;
+  auto sharded = ShardedEngine::Build(MakeData(1200), kShards,
+                                      BaseOptions(Algorithm::kMessi));
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ShardedEngine& backend = **sharded;
+  const Dataset probes = MakeQueries(kRounds, 9400);
+
+  std::atomic<int> round{0};
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> uncounted{0};
+  std::atomic<size_t> answered{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 2; ++t) {
+    clients.emplace_back([&, t] {
+      SearchRequest request;
+      request.approximate = t == 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const int r = round.load(std::memory_order_acquire);
+        auto response = backend.Search(probes.series(r), request);
+        if (!response.ok() || response->neighbors.empty()) continue;
+        if (response->neighbors[0].id >= backend.series_count()) {
+          uncounted.fetch_add(1, std::memory_order_relaxed);
+        }
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  for (int r = 0; r < kRounds; ++r) {
+    round.store(r, std::memory_order_release);
+    Dataset batch = MakeData(kBatch, 9500 + r);
+    // Rows 0..kShards-1 land on distinct shards.
+    for (size_t row = 0; row < kShards; ++row) {
+      std::copy(probes.series(r).begin(), probes.series(r).end(),
+                batch.mutable_series(row).begin());
+    }
+    ASSERT_TRUE(backend.Append(batch).ok());
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : clients) t.join();
+
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_EQ(uncounted.load(), 0u) << "a query named an id >= series_count()";
+  EXPECT_EQ(backend.series_count(), 1200 + kRounds * kBatch);
 }
 
 }  // namespace
