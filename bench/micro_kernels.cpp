@@ -1,10 +1,11 @@
 // Ablation D4 and kernel microbenchmarks (google-benchmark): the SIMD vs
 // scalar distance kernels the paper credits for part of its speedup,
 // plus the other per-series primitives (PAA, SAX conversion, the iSAX
-// lower-bound table and its batched kernels, early abandoning, DTW,
-// LB_Keogh).
+// lower-bound table and its batched summary and node-word kernels, early
+// abandoning, DTW, LB_Keogh).
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "bench_common.h"
@@ -12,6 +13,7 @@
 #include "dist/euclidean.h"
 #include "dist/znorm.h"
 #include "index/node.h"
+#include "index/tree.h"
 #include "io/generator.h"
 #include "sax/mindist.h"
 #include "sax/paa.h"
@@ -134,7 +136,7 @@ void BM_BoundTableBuildEd(benchmark::State& state) {
   SymbolBoundTable table;
   for (auto _ : state) {
     table.BuildEd(f.query_paa, kSegments, kLength);
-    benchmark::DoNotOptimize(table.data());
+    benchmark::DoNotOptimize(table.Row(0));
   }
 }
 BENCHMARK(BM_BoundTableBuildEd);
@@ -147,7 +149,7 @@ void BM_BoundTableBuildEnvelope(benchmark::State& state) {
   SymbolBoundTable table;
   for (auto _ : state) {
     table.BuildEnvelope(lower_paa, upper_paa, kSegments, kLength);
-    benchmark::DoNotOptimize(table.data());
+    benchmark::DoNotOptimize(table.Row(0));
   }
 }
 BENCHMARK(BM_BoundTableBuildEnvelope);
@@ -188,9 +190,82 @@ void BM_SymbolBoundsLeaf(benchmark::State& state, KernelPolicy policy) {
 }
 BENCHMARK_CAPTURE(BM_SymbolBoundsLeaf, scalar, KernelPolicy::kScalar);
 
+// A real tree's leaf directory: random-walk summaries inserted into a
+// SaxTree, so the words carry the mixed per-segment cardinalities that
+// MESSI's Stage 3a bounds (unlike the full-cardinality sax_rows).
+struct WordFixture {
+  WordFixture() : tree(TreeOptions()) {
+    constexpr size_t kSeries = 1 << 16;
+    constexpr size_t kChunk = 4096;
+    float paa[kMaxSegments];
+    for (size_t first = 0; first < kSeries; first += kChunk) {
+      GeneratorOptions gen;
+      gen.count = kChunk;
+      gen.length = kLength;
+      gen.seed = 11 + first;
+      const Dataset chunk = GenerateDataset(gen);
+      for (SeriesId i = 0; i < chunk.count(); ++i) {
+        LeafEntry entry;
+        entry.id = first + i;
+        ComputePaa(chunk.series(i), kSegments, paa);
+        SymbolsFromPaa(paa, kSegments, &entry.sax);
+        if (!tree.Insert(entry).ok()) std::abort();
+      }
+    }
+    tree.SealRoots();
+  }
+
+  static SaxTreeOptions TreeOptions() {
+    SaxTreeOptions options;
+    options.segments = kSegments;
+    options.leaf_capacity = 64;
+    options.series_length = kLength;
+    return options;
+  }
+
+  SaxTree tree;
+};
+
+WordFixture& Words() {
+  static WordFixture fixture;
+  return fixture;
+}
+
+// One node-word bound per call, on the directory's mixed-cardinality
+// words: the per-node cost a top-down traversal pays.
+void BM_MinDistPaaToWordSq(benchmark::State& state) {
+  KernelFixture& f = Fixture();
+  const std::vector<LeafDirEntry>& dir = Words().tree.LeafDirectory();
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        MinDistPaaToWordSq(f.query_paa, dir[i].word, kSegments, kLength));
+    i = (i + 1) % dir.size();
+  }
+}
+BENCHMARK(BM_MinDistPaaToWordSq);
+
+// The same words bounded as MESSI's Stage 3a does: one batched table scan
+// over the whole leaf directory. items_per_second is bounds per second.
+void BM_WordBounds(benchmark::State& state, KernelPolicy policy) {
+  KernelFixture& f = Fixture();
+  const std::vector<LeafDirEntry>& dir = Words().tree.LeafDirectory();
+  SymbolBoundTable table;
+  table.BuildEd(f.query_paa, kSegments, kLength);
+  std::vector<float> out(dir.size());
+  for (auto _ : state) {
+    table.WordBounds(dir.data(), sizeof(LeafDirEntry), dir.size(),
+                     out.data(), policy);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * dir.size());
+}
+BENCHMARK_CAPTURE(BM_WordBounds, scalar, KernelPolicy::kScalar);
+
 #ifdef PARISAX_HAVE_AVX2
 BENCHMARK_CAPTURE(BM_SymbolBoundsFlat, avx2, KernelPolicy::kAvx2);
 BENCHMARK_CAPTURE(BM_SymbolBoundsLeaf, avx2, KernelPolicy::kAvx2);
+BENCHMARK_CAPTURE(BM_WordBounds, avx2, KernelPolicy::kAvx2);
 #endif
 
 void BM_ZNormalize(benchmark::State& state) {

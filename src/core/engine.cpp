@@ -859,6 +859,45 @@ Result<SearchResponse> Engine::Search(SeriesView query,
   return response;
 }
 
+Status Engine::AppendToIndexLocked(const Value* values, size_t count,
+                                   std::vector<uint32_t>* touched) {
+  // Index engines over addressable sources publish the new segment as
+  // an atomic snapshot swap — in-flight queries keep the snapshot they
+  // captured, so nothing drains. The segment is small (one batch), so
+  // building it inline beats contending for the shared query pool.
+  const bool segmented =
+      (messi_ != nullptr || paris_ != nullptr) && addressable_source_;
+  if (segmented) {
+    InlineExecutor inline_exec;
+    return messi_ != nullptr
+               ? messi_->Append(values, count, &inline_exec, touched)
+               : paris_->Append(values, count, &inline_exec, touched);
+  }
+  // Scan engines mutate the raw source queries scan in place, and
+  // streamed index engines share buffered readers with the refine path —
+  // both still need the exclusive side of the RW gate: in-flight queries
+  // drain, new ones wait. pool_mu_ first (lock order; Save must not run
+  // mid-append), then the gate.
+  MutexLock pool_lock(&pool_mu_);
+  WriterLock gate(&index_gate_);
+  switch (options_.algorithm) {
+    case Algorithm::kBruteForce:
+    case Algorithm::kUcrSerial:
+    case Algorithm::kUcrParallel:
+      // Scan engines have no index: growing the source is the whole
+      // ingest.
+      return source_->AppendSeries(values, count);
+    case Algorithm::kAdsPlus:
+      return Status::Internal("ADS+ append slipped past the capability gate");
+    case Algorithm::kParis:
+    case Algorithm::kParisPlus:
+      return paris_->Append(values, count, pool_.get(), touched);
+    case Algorithm::kMessi:
+      return messi_->Append(values, count, pool_.get(), touched);
+  }
+  return Status::Internal("unknown algorithm");
+}
+
 Result<AppendReport> Engine::Append(const Value* values, size_t count) {
   if (!capabilities().append) {
     return Status::NotSupported(
@@ -883,51 +922,17 @@ Result<AppendReport> Engine::Append(const Value* values, size_t count) {
   MutexLock append_lock(&append_mu_);
 
   std::vector<uint32_t> touched;
-  // Index engines over addressable sources publish the new segment as
-  // an atomic snapshot swap — in-flight queries keep the snapshot they
-  // captured, so nothing drains. The segment is small (one batch), so
-  // building it inline beats contending for the shared query pool.
-  const bool segmented =
-      (messi_ != nullptr || paris_ != nullptr) && addressable_source_;
-  if (segmented) {
-    InlineExecutor inline_exec;
-    const Status appended =
-        messi_ != nullptr
-            ? messi_->Append(values, count, &inline_exec, &touched)
-            : paris_->Append(values, count, &inline_exec, &touched);
-    PARISAX_RETURN_IF_ERROR(appended);
-  } else {
-    // Scan engines mutate the raw source queries scan in place, and
-    // streamed index engines share buffered readers with the refine
-    // path — both still need the exclusive side of the RW gate:
-    // in-flight queries drain, new ones wait. pool_mu_ first (lock
-    // order; Save must not run mid-append), then the gate.
-    MutexLock pool_lock(&pool_mu_);
-    WriterLock gate(&index_gate_);
-    switch (options_.algorithm) {
-      case Algorithm::kBruteForce:
-      case Algorithm::kUcrSerial:
-      case Algorithm::kUcrParallel:
-        // Scan engines have no index: growing the source is the whole
-        // ingest.
-        PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
-        break;
-      case Algorithm::kAdsPlus:
-        return Status::Internal(
-            "ADS+ append slipped past the capability gate");
-      case Algorithm::kParis:
-      case Algorithm::kParisPlus:
-        PARISAX_RETURN_IF_ERROR(
-            paris_->Append(values, count, pool_.get(), &touched));
-        break;
-      case Algorithm::kMessi:
-        PARISAX_RETURN_IF_ERROR(
-            messi_->Append(values, count, pool_.get(), &touched));
-        break;
-    }
+  // Count the batch before the index publishes a row of it: a query
+  // racing this append may or may not see the new rows, but every id it
+  // can name is then below series_count(). A failed append rolls the
+  // count back (append_mu_ keeps other appends out meanwhile).
+  const size_t old_count = series_count_.load(std::memory_order_acquire);
+  series_count_.store(old_count + count, std::memory_order_release);
+  const Status appended = AppendToIndexLocked(values, count, &touched);
+  if (!appended.ok()) {
+    series_count_.store(old_count, std::memory_order_release);
+    return appended;
   }
-
-  series_count_.fetch_add(count, std::memory_order_acq_rel);
   append_epoch_.fetch_add(1, std::memory_order_acq_rel);
 
   report.total_series = series_count();

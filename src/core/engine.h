@@ -351,6 +351,12 @@ class Engine : public SearchBackend {
 
   Status CheckQuery(SeriesView query, const SearchRequest& request) const;
 
+  /// Grows the index (or the scanned source) by one batch, publishing
+  /// it to queries; Append's body after the count is raised. Caller
+  /// holds append_mu_.
+  Status AppendToIndexLocked(const Value* values, size_t count,
+                             std::vector<uint32_t>* touched)
+      PARISAX_REQUIRES(append_mu_);
   /// Fold-every-segment + full snapshot + lineage reset; caller holds
   /// append_mu_ and pool_mu_.
   Status SaveFullLocked(const std::string& snapshot_path)

@@ -16,7 +16,8 @@ struct QueryStats {
   uint64_t candidates = 0;
   /// Full (possibly early-abandoned) real distance computations.
   uint64_t real_dist_calcs = 0;
-  /// Tree nodes visited (tree-based strategies).
+  /// Tree nodes bounded: MESSI bounds every leaf of its leaf directories
+  /// (base and segments) once per query.
   uint64_t nodes_visited = 0;
   /// Leaves inspected or popped from priority queues.
   uint64_t leaves_inspected = 0;
@@ -25,7 +26,11 @@ struct QueryStats {
 
   double total_seconds = 0.0;
   double approx_phase_seconds = 0.0;
+  /// ParIS/ParIS+: the flat-SAX filter. MESSI: Stage 3a, leaf pruning
+  /// and queue fill.
   double filter_phase_seconds = 0.0;
+  /// ParIS/ParIS+: candidate refinement. MESSI: Stage 3b, queue
+  /// consumption.
   double refine_phase_seconds = 0.0;
 
   void MergeCounters(const QueryStats& other) {

@@ -47,8 +47,22 @@ Status SaxTree::Insert(const LeafEntry& entry, LeafStorage* storage) {
 
 void SaxTree::SealRoots() {
   present_roots_.clear();
+  leaf_directory_.clear();
+  std::vector<Node*> stack;
   for (uint32_t key = 0; key < roots_.size(); ++key) {
-    if (roots_[key] != nullptr) present_roots_.push_back(key);
+    if (roots_[key] == nullptr) continue;
+    present_roots_.push_back(key);
+    stack.push_back(roots_[key].get());
+    while (!stack.empty()) {
+      Node* node = stack.back();
+      stack.pop_back();
+      if (node->IsLeaf()) {
+        leaf_directory_.push_back(LeafDirEntry{node->word(), node});
+      } else {
+        stack.push_back(node->child(1));
+        stack.push_back(node->child(0));
+      }
+    }
   }
 }
 

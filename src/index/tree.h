@@ -10,6 +10,7 @@
 #ifndef PARISAX_INDEX_TREE_H_
 #define PARISAX_INDEX_TREE_H_
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -39,6 +40,14 @@ struct TreeStats {
   size_t max_depth = 0;      ///< root children have depth 1
   size_t oversized_leaves = 0;
 };
+
+/// One leaf of a sealed tree. The word comes first, so
+/// SymbolBoundTable::WordBounds reads a run of entries as strided words.
+struct LeafDirEntry {
+  SaxWord word;
+  Node* leaf = nullptr;
+};
+static_assert(offsetof(LeafDirEntry, word) == 0);
 
 class SaxTree {
  public:
@@ -72,12 +81,21 @@ class SaxTree {
   /// (serial) builder and by tests.
   Status Insert(const LeafEntry& entry, LeafStorage* storage = nullptr);
 
-  /// Finalizes the set of present root keys after building; must be
-  /// called once, single-threaded, before PresentRoots / ApproximateLeaf.
+  /// Finalizes the set of present root keys and the leaf directory after
+  /// building; must be called once, single-threaded, before PresentRoots /
+  /// LeafDirectory / ApproximateLeaf, and again after any later mutation.
   void SealRoots();
 
   /// Keys of existing root children, ascending. Valid after SealRoots.
   const std::vector<uint32_t>& PresentRoots() const { return present_roots_; }
+
+  /// Every leaf (empty ones included) with its word, in root-key order
+  /// and left to right within a root subtree: MESSI bounds this whole
+  /// run in batches instead of descending the tree per query. Valid
+  /// after SealRoots, until the tree is next mutated.
+  const std::vector<LeafDirEntry>& LeafDirectory() const {
+    return leaf_directory_;
+  }
 
   /// The leaf an exact-match descent reaches for `query_sax`; if the root
   /// child is absent, falls back to the present root whose region is
@@ -110,6 +128,7 @@ class SaxTree {
   SaxTreeOptions options_;
   std::vector<std::unique_ptr<Node>> roots_;
   std::vector<uint32_t> present_roots_;
+  std::vector<LeafDirEntry> leaf_directory_;
 };
 
 }  // namespace parisax

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <limits>
 #include <queue>
+#include <span>
 #include <utility>
 
 #include "dist/dtw.h"
@@ -60,29 +61,15 @@ struct alignas(64) SearchCounters {
   }
 };
 
-/// Root subtrees of one serving snapshot: the base's present roots
-/// followed by every segment's. Stage 3 treats them as one flat forest
-/// pruned against one shared bound — the read-side merge.
-std::vector<Node*> CollectRoots(const ServingState& snap) {
-  std::vector<Node*> roots;
-  for (const uint32_t key : snap.base->PresentRoots()) {
-    roots.push_back(snap.base->RootAt(key));
-  }
-  for (const auto& seg : snap.segments) {
-    for (const uint32_t key : seg->tree.PresentRoots()) {
-      roots.push_back(seg->tree.RootAt(key));
-    }
-  }
-  return roots;
-}
+/// Leaves per Stage 3a block: one batched bound call and one Fetch&Inc.
+constexpr size_t kDirectoryGrain = 1024;
 
-/// Tree traversal + priority-queue consumption shared by the ED-NN,
-/// ED-kNN and DTW-NN searches, over the merged root forest of one
-/// serving snapshot. `table` bounds leaf entries: each popped leaf's
-/// bounds come from one batched kernel call. `Policy` supplies the
-/// pruning bound, the node lower bound and the entry refinement:
+/// Leaf pruning + priority-queue consumption shared by the ED-NN,
+/// ED-kNN and DTW-NN searches, over one serving snapshot. `table` bounds
+/// both node words (Stage 3a) and leaf entries (Stage 3b), each through
+/// one batched kernel call per block or leaf. `Policy` supplies the
+/// pruning bound and the entry refinement:
 ///   float Bound() const;
-///   float NodeLb(const Node&) const;
 ///   void ProcessEntry(const LeafEntry&, float lb, SearchCounters*,
 ///                     int worker);
 /// ProcessEntry compares `lb` against the *current* Bound(), so batching
@@ -90,50 +77,71 @@ std::vector<Node*> CollectRoots(const ServingState& snap) {
 /// policy or on this stack frame, so any number of queued searches can
 /// run concurrently on different executors.
 template <typename Policy>
-void RunQueuedSearch(const std::vector<Node*>& roots,
-                     const SymbolBoundTable& table, KernelPolicy kernel,
-                     Policy* policy, int num_queues, Executor* exec,
-                     QueryStats* stats,
+void RunQueuedSearch(const ServingState& snap, const SymbolBoundTable& table,
+                     KernelPolicy kernel, Policy* policy, int num_queues,
+                     Executor* exec, QueryStats* stats,
                      const CancellationToken* cancel = nullptr) {
   std::vector<SharedQueue> queues(num_queues);
-  std::atomic<uint64_t> round_robin{0};
   std::vector<SearchCounters> counters(exec->num_threads());
 
-  // Stage 3a: parallel traversal, leaves into queues (round-robin for
-  // load balance, as in the paper). Workers poll the cancel token per
-  // node visit and bail out; the caller turns an expired token into
-  // kDeadlineExceeded instead of returning the partial bound.
-  WorkCounter root_counter(roots.size());
+  // Stage 3a: the leaf directories of the base and of every segment
+  // form one run of leaves pruned against one shared bound — the
+  // read-side merge. A leaf's bound is never below any ancestor's (its
+  // region lies inside theirs), so bounding every leaf directly keeps
+  // exactly the leaves a top-down traversal would reach. Workers claim
+  // blocks by Fetch&Inc, bound each with one batched call, and buffer
+  // the survivors; each worker then deals its buffer round-robin to the
+  // K queues (for load balance, as in the paper) under one lock per
+  // queue. Workers poll the cancel token per block and bail out; the
+  // caller turns an expired token into kDeadlineExceeded instead of
+  // returning the partial bound.
+  WallTimer prune_timer;
+  std::vector<std::span<const LeafDirEntry>> runs;
+  runs.emplace_back(snap.base->LeafDirectory());
+  for (const auto& seg : snap.segments) {
+    runs.emplace_back(seg->tree.LeafDirectory());
+  }
+  size_t total_leaves = 0;
+  for (const auto& run : runs) total_leaves += run.size();
+  WorkCounter block_counter(total_leaves);
   exec->Run([&](int worker) {
     SearchCounters& local = counters[worker];
-    std::vector<Node*> stack;
-    size_t item;
-    while (root_counter.NextItem(&item)) {
-      stack.push_back(roots[item]);
-      while (!stack.empty()) {
-        if (Expired(cancel)) return;
-        Node* node = stack.back();
-        stack.pop_back();
-        ++local.nodes_visited;
-        const float lb = policy->NodeLb(*node);
-        if (lb >= policy->Bound()) continue;  // prune the whole subtree
-        if (node->IsLeaf()) {
-          if (node->entries().empty()) continue;
-          const uint64_t slot =
-              round_robin.fetch_add(1, std::memory_order_relaxed);
-          SharedQueue& q = queues[slot % queues.size()];
-          MutexLock lock(&q.mu);
-          q.pq.push(QueueItem{lb, node});
-        } else {
-          stack.push_back(node->child(0));
-          stack.push_back(node->child(1));
+    std::vector<float> lbs(std::min(kDirectoryGrain, total_leaves));
+    std::vector<QueueItem> found;
+    size_t begin, end;
+    while (block_counter.NextBatch(kDirectoryGrain, &begin, &end)) {
+      if (Expired(cancel)) return;
+      const float bound = policy->Bound();
+      size_t run_first = 0;
+      for (const auto& run : runs) {
+        const size_t lo = std::max(begin, run_first);
+        const size_t hi = std::min(end, run_first + run.size());
+        if (lo < hi) {
+          const LeafDirEntry* dir = run.data() + (lo - run_first);
+          table.WordBounds(dir, sizeof(LeafDirEntry), hi - lo, lbs.data(),
+                           kernel);
+          local.nodes_visited += hi - lo;
+          for (size_t i = 0; i < hi - lo; ++i) {
+            if (lbs[i] < bound && !dir[i].leaf->entries().empty()) {
+              found.push_back(QueueItem{lbs[i], dir[i].leaf});
+            }
+          }
         }
+        run_first += run.size();
       }
     }
+    const size_t k = queues.size();
+    for (size_t offset = 0; offset < k && offset < found.size(); ++offset) {
+      SharedQueue& q = queues[(worker + offset) % k];
+      MutexLock lock(&q.mu);
+      for (size_t i = offset; i < found.size(); i += k) q.pq.push(found[i]);
+    }
   });
+  const double prune_seconds = prune_timer.ElapsedSeconds();
 
   // Stage 3b: workers consume the queues; a queue whose minimum exceeds
   // the BSF is abandoned wholesale (everything below it is farther).
+  WallTimer refine_timer;
   std::atomic<uint64_t> start_counter{0};
   exec->Run([&](int worker) {
     SearchCounters& local = counters[worker];
@@ -182,6 +190,8 @@ void RunQueuedSearch(const std::vector<Node*>& roots,
 
   if (stats != nullptr) {
     for (const SearchCounters& c : counters) c.FlushInto(stats);
+    stats->filter_phase_seconds = prune_seconds;
+    stats->refine_phase_seconds = refine_timer.ElapsedSeconds();
   }
 }
 
@@ -230,18 +240,11 @@ struct BestNeighbor {
 /// Exact-ED 1-NN policy.
 struct EdNnPolicy {
   RawDataView raw;
-  const float* paa;
-  int w;
-  size_t n;
   KernelPolicy kernel;
   SeriesView query;
   BestNeighbor* result;
 
   float Bound() const { return result->Bound(); }
-
-  float NodeLb(const Node& node) const {
-    return MinDistPaaToWordSq(paa, node.word(), w, n);
-  }
 
   void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
                     int /*worker*/) {
@@ -260,9 +263,6 @@ struct EdNnPolicy {
 /// bound on the global k-th distance.
 struct EdKnnPolicy {
   RawDataView raw;
-  const float* paa;
-  int w;
-  size_t n;
   KernelPolicy kernel;
   SeriesView query;
   KnnHeap* heap;
@@ -271,10 +271,6 @@ struct EdKnnPolicy {
   float Bound() const {
     const float local = heap->Bound();
     return shared != nullptr ? std::min(local, shared->Load()) : local;
-  }
-
-  float NodeLb(const Node& node) const {
-    return MinDistPaaToWordSq(paa, node.word(), w, n);
   }
 
   void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
@@ -295,12 +291,8 @@ struct EdKnnPolicy {
 /// LB_Keogh and finally early-abandoning banded DTW.
 struct DtwNnPolicy {
   RawDataView raw;
-  const float* env_lower_paa;
-  const float* env_upper_paa;
   const std::vector<Value>* env_lower;
   const std::vector<Value>* env_upper;
-  int w;
-  size_t n;
   size_t band;
   SeriesView query;
   BestNeighbor* result;
@@ -309,11 +301,6 @@ struct DtwNnPolicy {
   std::vector<DtwScratch>* scratches;
 
   float Bound() const { return result->Bound(); }
-
-  float NodeLb(const Node& node) const {
-    return MinDistEnvelopePaaToWordSq(env_lower_paa, env_upper_paa,
-                                      node.word(), w, n);
-  }
 
   void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
                     int worker) {
@@ -591,13 +578,12 @@ Result<Neighbor> MessiIndex::SearchExact(SeriesView query,
   }
 
   BestNeighbor result(seed, options.shared_bound);
-  EdNnPolicy policy{snap->raw, paa, w, n, options.kernel, query, &result};
+  EdNnPolicy policy{snap->raw, options.kernel, query, &result};
   SymbolBoundTable table;
   table.BuildEd(paa, w, n);
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
-  const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, table, options.kernel, &policy, num_queues, exec,
+  RunQueuedSearch(*snap, table, options.kernel, &policy, num_queues, exec,
                   stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
@@ -641,14 +627,13 @@ Result<std::vector<Neighbor>> MessiIndex::SearchKnn(
     options.shared_bound->UpdateMin(heap.Bound());
   }
 
-  EdKnnPolicy policy{snap->raw, paa,   w,     n,
-                     options.kernel, query, &heap, options.shared_bound};
+  EdKnnPolicy policy{snap->raw, options.kernel, query, &heap,
+                     options.shared_bound};
   SymbolBoundTable table;
   table.BuildEd(paa, w, n);
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
-  const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, table, options.kernel, &policy, num_queues, exec,
+  RunQueuedSearch(*snap, table, options.kernel, &policy, num_queues, exec,
                   stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {
@@ -705,16 +690,15 @@ Result<Neighbor> MessiIndex::SearchExactDtw(SeriesView query,
   for (const auto& seg : snap->segments) seed_from(seg->tree);
 
   BestNeighbor result(seed, options.shared_bound);
-  DtwNnPolicy policy{snap->raw,       env_lower_paa, env_upper_paa,
-                     &env_lower,      &env_upper,    w,
-                     n,               options.dtw_band, query,
-                     &result,         &scratches};
+  DtwNnPolicy policy{.raw = snap->raw, .env_lower = &env_lower,
+                     .env_upper = &env_upper, .band = options.dtw_band,
+                     .query = query, .result = &result,
+                     .scratches = &scratches};
   SymbolBoundTable table;
   table.BuildEnvelope(env_lower_paa, env_upper_paa, w, n);
   const int num_queues =
       options.num_queues > 0 ? options.num_queues : options.num_workers;
-  const std::vector<Node*> roots = CollectRoots(*snap);
-  RunQueuedSearch(roots, table, options.kernel, &policy, num_queues, exec,
+  RunQueuedSearch(*snap, table, options.kernel, &policy, num_queues, exec,
                   stats, options.cancel);
   if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
   if (Expired(options.cancel)) {

@@ -9,18 +9,21 @@
 // and build the corresponding root subtrees independently.
 //
 // Query answering (Stage 3): seed the BSF from the approximate-match
-// leaf; workers traverse root subtrees pruning with mindist against the
-// BSF and push surviving leaves into K shared priority queues
-// (round-robin); workers then pop queues, abandoning a queue as soon as
-// its minimum exceeds the BSF, computing per-entry lower bounds and
-// early-abandoning real distances for what survives.
+// leaf; workers prune the tree's leaves with mindist against the BSF and
+// push the survivors into K shared priority queues (round-robin);
+// workers then pop queues, abandoning a queue as soon as its minimum
+// exceeds the BSF, computing per-entry lower bounds and early-abandoning
+// real distances for what survives. The pruning pass (Stage 3a) bounds
+// a flat directory of every leaf in batches rather than descending the
+// tree: a leaf's bound is never below its ancestors', so it keeps
+// exactly the leaves a top-down traversal would reach.
 //
 // Incremental ingest (beyond the paper): the index serves an immutable
 // snapshot — the bulk-built base tree plus an ordered list of delta
 // segments (src/index/segment.h). Append builds a new segment and
 // publishes it; queries capture one snapshot at entry and run the
-// paper's Stage 3 over the base's and every segment's root subtrees
-// under a single shared bound, so appends never exclude queries.
+// paper's Stage 3 over the base's and every segment's leaves under a
+// single shared bound, so appends never exclude queries.
 //
 // Extensions implemented beyond the exact-ED query: kNN search and DTW
 // search on the unchanged index (the paper's "current work").
@@ -68,8 +71,8 @@ struct MessiQueryOptions {
   KernelPolicy kernel = KernelPolicy::kAuto;
   /// Sakoe-Chiba band radius (points) for DTW searches.
   size_t dtw_band = 12;
-  /// Cancel/deadline token polled at leaf-visit granularity in Stage 3
-  /// (both the traversal and the queue-consumption loops); an expired
+  /// Cancel/deadline token polled in Stage 3 once per directory block
+  /// of the pruning pass and once per popped leaf; an expired
   /// search returns kDeadlineExceeded instead of a partial answer. The
   /// caller keeps the token alive; null never expires.
   const CancellationToken* cancel = nullptr;

@@ -1,10 +1,11 @@
-// Node-word bounds, the per-query bound table, its scalar kernel and the
+// Node-word bounds, the per-query bound table, its scalar kernels and the
 // kernel dispatch. This translation unit is compiled WITHOUT -mavx2 (the
 // AVX2 kernel lives in mindist_avx2.cpp), so the kScalar path stays safe
 // on CPUs without AVX2.
 #include "sax/mindist.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "sax/breakpoints.h"
 
@@ -65,10 +66,12 @@ void SymbolBoundTable::BuildEd(const float* query_paa, int w, size_t n) {
   scale_ = Scale(w, n);
   for (int s = 0; s < w; ++s) {
     const float p = query_paa[s];
-    for (int sym = 0; sym < kMaxCardinality; ++sym) {
-      const float region_lo = table.RegionLow(kMaxCardBits, sym);
-      const float region_hi = table.RegionHigh(kMaxCardBits, sym);
-      lut_[s][sym] = GapSq(p, region_lo, region_hi);
+    for (int bits = 1; bits <= kMaxCardBits; ++bits) {
+      float* row = lut_[s] + BoundSlot(bits, 0);
+      for (int sym = 0; sym < (1 << bits); ++sym) {
+        row[sym] =
+            GapSq(p, table.RegionLow(bits, sym), table.RegionHigh(bits, sym));
+      }
     }
   }
 }
@@ -82,10 +85,12 @@ void SymbolBoundTable::BuildEnvelope(const float* env_lower_paa,
   for (int s = 0; s < w; ++s) {
     const float lo = env_lower_paa[s];
     const float hi = env_upper_paa[s];
-    for (int sym = 0; sym < kMaxCardinality; ++sym) {
-      const float region_lo = table.RegionLow(kMaxCardBits, sym);
-      const float region_hi = table.RegionHigh(kMaxCardBits, sym);
-      lut_[s][sym] = IntervalGapSq(lo, hi, region_lo, region_hi);
+    for (int bits = 1; bits <= kMaxCardBits; ++bits) {
+      float* row = lut_[s] + BoundSlot(bits, 0);
+      for (int sym = 0; sym < (1 << bits); ++sym) {
+        row[sym] = IntervalGapSq(lo, hi, table.RegionLow(bits, sym),
+                                 table.RegionHigh(bits, sym));
+      }
     }
   }
 }
@@ -104,15 +109,43 @@ void SymbolBoundTable::Bounds(const void* first, size_t stride, size_t count,
   SymbolBoundsScalar(*this, rows, stride, count, out);
 }
 
+void SymbolBoundTable::WordBounds(const void* first, size_t stride,
+                                  size_t count, float* out,
+                                  KernelPolicy policy) const {
+  const auto* rows = static_cast<const uint8_t*>(first);
+#ifdef PARISAX_HAVE_AVX2
+  if (policy != KernelPolicy::kScalar && SimdAvailable()) {
+    WordBoundsAvx2(*this, rows, stride, count, out);
+    return;
+  }
+#else
+  (void)policy;
+#endif
+  WordBoundsScalar(*this, rows, stride, count, out);
+}
+
 void SymbolBoundsScalar(const SymbolBoundTable& table, const uint8_t* first,
                         size_t stride, size_t count, float* out) {
-  const float* lut = table.data();
   const int w = table.segments();
   const float scale = table.scale();
   for (size_t r = 0; r < count; ++r) {
     const uint8_t* sym = first + r * stride;
     float sum = 0.0f;
-    for (int s = 0; s < w; ++s) sum += lut[s * kMaxCardinality + sym[s]];
+    for (int s = 0; s < w; ++s) sum += table.FullRow(s)[sym[s]];
+    out[r] = sum * scale;
+  }
+}
+
+void WordBoundsScalar(const SymbolBoundTable& table, const uint8_t* first,
+                      size_t stride, size_t count, float* out) {
+  static_assert(offsetof(SaxWord, bits) == kMaxSegments);
+  const int w = table.segments();
+  const float scale = table.scale();
+  for (size_t r = 0; r < count; ++r) {
+    const uint8_t* sym = first + r * stride;
+    const uint8_t* bits = sym + kMaxSegments;
+    float sum = 0.0f;
+    for (int s = 0; s < w; ++s) sum += table.Row(s)[BoundSlot(bits[s], sym[s])];
     out[r] = sum * scale;
   }
 }

@@ -1,14 +1,19 @@
 // Tests for the public Engine facade: option validation, the
 // capability model (every Algorithm x request-feature cell must agree
 // with Engine::capabilities()), SourceSpec residencies (borrowed,
-// adopted, mmap, streamed file), build reports, and algorithm name
-// parsing.
+// adopted, mmap, streamed file), build reports, algorithm name parsing,
+// and the count-first ordering of appends.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
+#include "index/raw_source.h"
 #include "io/format.h"
 #include "io/generator.h"
 
@@ -379,6 +384,98 @@ TEST(EngineTest, AdoptedSourceOutlivesCallerScope) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_LT(response->neighbors[0].id, 400u);
   }
+}
+
+/// An adopted in-memory source that records the engine's series_count()
+/// each time the engine grows it, and can fail one append. An index
+/// engine grows its source before it builds and publishes the batch's
+/// segment, so a count that covers the batch here covers it for every
+/// query that can see the batch.
+class CountProbingSource : public InMemorySource {
+ public:
+  using InMemorySource::InMemorySource;
+
+  Status AppendSeries(const Value* values, size_t count) override {
+    if (engine != nullptr) counts_seen.push_back(engine->series_count());
+    if (fail_next) {
+      fail_next = false;
+      return Status::IOError("injected append failure");
+    }
+    return InMemorySource::AppendSeries(values, count);
+  }
+
+  // Appends serialize on the engine's append mutex: no lock needed.
+  const Engine* engine = nullptr;
+  bool fail_next = false;
+  std::vector<size_t> counts_seen;
+};
+
+TEST(EngineTest, AnswersNeverNameUncountedIds) {
+  constexpr size_t kBase = 800;
+  constexpr int kRounds = 24;
+  constexpr size_t kBatch = 300;
+  auto owned = std::make_unique<CountProbingSource>(MakeData(kBase));
+  CountProbingSource* source = owned.get();
+  auto built = Engine::Build(SourceSpec::Custom(std::move(owned)),
+                             BaseOptions(Algorithm::kMessi));
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine& engine = **built;
+  source->engine = &engine;
+  const Dataset probes =
+      GenerateQueries(DatasetKind::kRandomWalk, kRounds, 64, 77);
+
+  // Clients search for the current round's probe, whose copy the round's
+  // batch carries: the answer is a just-appended id as soon as a query
+  // sees the batch, and must already be counted.
+  std::atomic<int> round{0};
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> uncounted{0};
+  std::atomic<size_t> answered{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 2; ++t) {
+    clients.emplace_back([&, t] {
+      SearchRequest request;
+      request.approximate = t == 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const int r = round.load(std::memory_order_acquire);
+        auto response = engine.Search(probes.series(r), request);
+        if (!response.ok() || response->neighbors.empty()) continue;
+        if (response->neighbors[0].id >= engine.series_count()) {
+          uncounted.fetch_add(1, std::memory_order_relaxed);
+        }
+        answered.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    round.store(r, std::memory_order_release);
+    Dataset batch = MakeData(kBatch);
+    std::copy(probes.series(r).begin(), probes.series(r).end(),
+              batch.mutable_series(r % kBatch).begin());
+    ASSERT_TRUE(engine.Append(batch).ok());
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : clients) t.join();
+
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_EQ(uncounted.load(), 0u) << "a query named an id >= series_count()";
+  ASSERT_EQ(source->counts_seen.size(), static_cast<size_t>(kRounds));
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_EQ(source->counts_seen[r], kBase + (r + 1) * kBatch)
+        << "round " << r << ": the batch was not counted before it grew "
+        << "the source (and so before it was published)";
+  }
+
+  // A failed append rolls the count back.
+  source->fail_next = true;
+  const Dataset rejected = MakeData(kBatch);
+  EXPECT_FALSE(engine.Append(rejected).ok());
+  EXPECT_EQ(engine.series_count(), kBase + kRounds * kBatch);
+  EXPECT_EQ(source->counts_seen.back(), kBase + (kRounds + 1) * kBatch);
+  auto after = engine.Append(rejected);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->total_series, kBase + (kRounds + 1) * kBatch);
+  EXPECT_EQ(engine.series_count(), kBase + (kRounds + 1) * kBatch);
 }
 
 TEST(EngineTest, SearchReportsStats) {

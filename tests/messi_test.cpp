@@ -136,6 +136,17 @@ TEST(MessiTest, QueryStatsShowTreePruning) {
       GenerateQueries(DatasetKind::kRandomWalk, 4, 64, 21);
 
   const TreeStats tree_stats = (*index)->tree().Collect();
+  const auto check_phases = [](const QueryStats& stats, const char* what,
+                               size_t q) {
+    // Stage 3a (pruning the leaf directory) and Stage 3b (consuming the
+    // queues) report their own wall times inside the query's total.
+    EXPECT_GT(stats.filter_phase_seconds, 0.0) << what << " q=" << q;
+    EXPECT_GT(stats.refine_phase_seconds, 0.0) << what << " q=" << q;
+    EXPECT_LE(stats.filter_phase_seconds, stats.total_seconds)
+        << what << " q=" << q;
+    EXPECT_LE(stats.refine_phase_seconds, stats.total_seconds)
+        << what << " q=" << q;
+  };
   for (size_t q = 0; q < queries.count(); ++q) {
     QueryStats stats;
     ASSERT_TRUE(
@@ -144,8 +155,81 @@ TEST(MessiTest, QueryStatsShowTreePruning) {
     // checks well below the collection size indicate subtree pruning.
     EXPECT_LT(stats.lb_checks, data.count()) << "q=" << q;
     EXPECT_LT(stats.real_dist_calcs, data.count() / 2) << "q=" << q;
-    EXPECT_GT(stats.nodes_visited, 0u);
+    // Stage 3a bounds each leaf of the directory once.
+    EXPECT_EQ(stats.nodes_visited, tree_stats.leaves);
     EXPECT_LE(stats.leaves_inspected, tree_stats.leaves);
+    check_phases(stats, "exact", q);
+
+    const SeriesView query = queries.series(q);
+    QueryStats knn_stats;
+    ASSERT_TRUE((*index)->SearchKnn(query, 5, {}, &pool, &knn_stats).ok());
+    check_phases(knn_stats, "knn", q);
+
+    QueryStats dtw_stats;
+    ASSERT_TRUE((*index)->SearchExactDtw(query, {}, &pool, &dtw_stats).ok());
+    check_phases(dtw_stats, "dtw", q);
+  }
+}
+
+TEST(MessiTest, SearchesMatchBruteForceWithLiveSegments) {
+  const Dataset queries =
+      GenerateQueries(DatasetKind::kRandomWalk, 4, 64, 33);
+  ThreadPool pool(3);
+  auto source = std::make_unique<InMemorySource>(MakeData(2000));
+  auto index = MessiIndex::Build(std::move(source), SmallBuild(3), &pool);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  // Three live segments; the second carries copies of the first two
+  // queries, so some answers live in a segment rather than the base.
+  const size_t batches[] = {300, 450, 120};
+  for (size_t b = 0; b < 3; ++b) {
+    Dataset batch = MakeData(batches[b], 64, 400 + b);
+    if (b == 1) {
+      for (size_t q = 0; q < 2; ++q) {
+        std::copy(queries.series(q).begin(), queries.series(q).end(),
+                  batch.mutable_series(7 + 50 * q).begin());
+      }
+    }
+    ASSERT_TRUE((*index)->Append(batch.raw(), batch.count(), &pool).ok());
+  }
+  ASSERT_EQ((*index)->serving()->segments.size(), 3u);
+  const RawSeriesSource& all = (*index)->source();
+  ASSERT_EQ(all.count(), 2000u + 300 + 450 + 120);
+
+  for (const int queues : {1, 3}) {
+    MessiQueryOptions qopts;
+    qopts.num_workers = 3;
+    qopts.num_queues = queues;
+    qopts.dtw_band = 6;
+    for (size_t q = 0; q < queries.count(); ++q) {
+      const SeriesView query = queries.series(q);
+      const Neighbor oracle = BruteForceNn(all, query, KernelPolicy::kScalar);
+      auto exact = (*index)->SearchExact(query, qopts, &pool);
+      ASSERT_TRUE(exact.ok());
+      EXPECT_NEAR(exact->distance_sq, oracle.distance_sq,
+                  1e-3f * std::max(1.0f, oracle.distance_sq))
+          << "queues=" << queues << " q=" << q;
+      if (q < 2) {
+        EXPECT_EQ(exact->distance_sq, 0.0f) << "q=" << q;
+      }
+
+      const std::vector<Neighbor> knn_oracle =
+          BruteForceKnn(all, query, 7, KernelPolicy::kScalar);
+      auto knn = (*index)->SearchKnn(query, 7, qopts, &pool);
+      ASSERT_TRUE(knn.ok());
+      ASSERT_EQ(knn->size(), knn_oracle.size());
+      for (size_t i = 0; i < knn->size(); ++i) {
+        EXPECT_NEAR((*knn)[i].distance_sq, knn_oracle[i].distance_sq,
+                    1e-3f * std::max(1.0f, knn_oracle[i].distance_sq))
+            << "queues=" << queues << " q=" << q << " rank=" << i;
+      }
+
+      const Neighbor dtw_oracle = BruteForceDtwNn(all, query, qopts.dtw_band);
+      auto dtw = (*index)->SearchExactDtw(query, qopts, &pool);
+      ASSERT_TRUE(dtw.ok());
+      EXPECT_NEAR(dtw->distance_sq, dtw_oracle.distance_sq,
+                  1e-3f * std::max(1.0f, dtw_oracle.distance_sq))
+          << "queues=" << queues << " q=" << q;
+    }
   }
 }
 

@@ -3,8 +3,9 @@
 //   mindist(PAA(q), iSAX(s)) <= ED(q, s)          (any cardinality)
 //   envelope-mindist(q, iSAX(s)) <= DTW(q, s)     (any cardinality)
 // plus tightness monotonicity in cardinality, and the bit-identity
-// contract of the per-query bound table and its kernels against a
-// reference copy of the per-series formulas.
+// contract of the per-query bound table and its kernels (full-cardinality
+// summaries and node words) against a reference copy of the per-series
+// formulas.
 #include "sax/mindist.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "dist/dtw.h"
 #include "dist/euclidean.h"
 #include "index/node.h"
+#include "index/tree.h"
 #include "io/generator.h"
 #include "sax/breakpoints.h"
 #include "sax/paa.h"
@@ -365,6 +367,81 @@ TEST_P(BoundTableBits, BranchFreeWordBoundsMatchReferenceBits) {
       ASSERT_EQ(Bits(dtw),
                 Bits(RefMinDistEnvelopePaaToWordSq(lo, hi, word, w, n)))
           << "bits=" << bits << " trial=" << trial;
+    }
+  }
+}
+
+// Node words through the table: every symbol at every cardinality (all
+// segments at one bit count, segment s shifted by s so each segment sees
+// each symbol), then words of mixed per-segment cardinality; rows read as
+// bare SaxWords and as LeafDirEntry records.
+TEST_P(BoundTableBits, TableWordBoundsMatchReferenceBits) {
+  const auto [w, n] = GetParam();
+  Rng rng(3000 + 31 * w + static_cast<uint64_t>(n));
+  float paa[kMaxSegments], lo[kMaxSegments], hi[kMaxSegments];
+  SymbolBoundTable ed, dtw;
+  for (int trial = 0; trial < 12; ++trial) {
+    RandomQuery(&rng, w, paa, lo, hi);
+    ed.BuildEd(paa, w, n);
+    dtw.BuildEnvelope(lo, hi, w, n);
+    std::vector<SaxWord> words;
+    for (int bits = 1; bits <= kMaxCardBits; ++bits) {
+      for (int sym = 0; sym < (1 << bits); ++sym) {
+        SaxWord word;
+        for (int s = 0; s < w; ++s) {
+          word.bits[s] = static_cast<uint8_t>(bits);
+          word.symbols[s] = static_cast<uint8_t>((sym + s) % (1 << bits));
+        }
+        words.push_back(word);
+      }
+    }
+    for (int r = 0; r < 101; ++r) {
+      SaxWord word;
+      for (int s = 0; s < w; ++s) {
+        word.bits[s] = static_cast<uint8_t>(1 + rng.NextBelow(kMaxCardBits));
+        word.symbols[s] =
+            static_cast<uint8_t>(rng.NextBelow(1u << word.bits[s]));
+      }
+      words.push_back(word);
+    }
+    std::vector<LeafDirEntry> dir(words.size());
+    std::vector<uint32_t> want_ed(words.size()), want_dtw(words.size());
+    for (size_t r = 0; r < words.size(); ++r) {
+      dir[r].word = words[r];
+      want_ed[r] = Bits(RefMinDistPaaToWordSq(paa, words[r], w, n));
+      want_dtw[r] =
+          Bits(RefMinDistEnvelopePaaToWordSq(lo, hi, words[r], w, n));
+    }
+    for (const KernelPolicy policy : PoliciesUnderTest()) {
+      std::vector<float> got(words.size());
+      const auto check = [&](const std::vector<uint32_t>& want,
+                             const char* what) {
+        for (size_t r = 0; r < words.size(); ++r) {
+          ASSERT_EQ(Bits(got[r]), want[r])
+              << what << " policy=" << static_cast<int>(policy)
+              << " word=" << words[r].ToString(w);
+        }
+      };
+      // Every batch length up to 17 covers the 8-row step's tails.
+      for (size_t count = 0; count <= 17; ++count) {
+        ed.WordBounds(words.data(), sizeof(SaxWord), count, got.data(),
+                      policy);
+        for (size_t r = 0; r < count; ++r) {
+          ASSERT_EQ(Bits(got[r]), want_ed[r]) << "count=" << count;
+        }
+      }
+      ed.WordBounds(words.data(), sizeof(SaxWord), words.size(), got.data(),
+                    policy);
+      check(want_ed, "ed/word");
+      ed.WordBounds(dir.data(), sizeof(LeafDirEntry), dir.size(), got.data(),
+                    policy);
+      check(want_ed, "ed/directory");
+      dtw.WordBounds(words.data(), sizeof(SaxWord), words.size(), got.data(),
+                     policy);
+      check(want_dtw, "dtw/word");
+      dtw.WordBounds(dir.data(), sizeof(LeafDirEntry), dir.size(),
+                     got.data(), policy);
+      check(want_dtw, "dtw/directory");
     }
   }
 }

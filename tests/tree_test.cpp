@@ -1,12 +1,15 @@
 // Tests for the iSAX tree: insertion, splitting (balance policy, cascades,
 // max-cardinality overflow), routing, approximate descent, invariants and
-// stats.
+// stats, and the sealed tree's leaf directory.
 #include "index/tree.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <set>
 
+#include "index/segment.h"
 #include "io/generator.h"
 #include "sax/mindist.h"
 #include "sax/paa.h"
@@ -285,6 +288,103 @@ TEST(TreeTest, SealRootsIsSortedAndComplete) {
   for (const uint32_t key : expected) {
     EXPECT_EQ(present[idx++], key);  // std::set iterates ascending
   }
+}
+
+/// The directory lists every leaf of `tree` exactly once, each with its
+/// node's word.
+void ExpectDirectoryListsEveryLeaf(const SaxTree& tree) {
+  std::map<const Node*, int> seen;
+  tree.VisitLeaves(nullptr, [&](Node* leaf) { seen[leaf] = 0; });
+  const std::vector<LeafDirEntry>& dir = tree.LeafDirectory();
+  ASSERT_EQ(dir.size(), seen.size());
+  for (const LeafDirEntry& entry : dir) {
+    auto it = seen.find(entry.leaf);
+    ASSERT_NE(it, seen.end()) << "directory names a node that is no leaf";
+    EXPECT_EQ(++it->second, 1) << "leaf listed twice";
+    const SaxWord& word = entry.leaf->word();
+    EXPECT_EQ(std::memcmp(&entry.word, &word, sizeof(SaxWord)), 0)
+        << entry.word.ToString(tree.options().segments);
+  }
+}
+
+std::vector<LeafEntry> RandomWalkEntries(size_t count, int w,
+                                         uint64_t seed) {
+  GeneratorOptions gen;
+  gen.count = count;
+  gen.length = 64;
+  gen.seed = seed;
+  return EntriesFromDataset(GenerateDataset(gen), w);
+}
+
+TEST(TreeDirectoryTest, ListsEveryLeafAfterInsert) {
+  SaxTree tree(SmallOptions(4, 4));
+  tree.SealRoots();
+  EXPECT_TRUE(tree.LeafDirectory().empty());
+  for (const LeafEntry& e : RandomWalkEntries(1500, 4, 17)) {
+    ASSERT_TRUE(tree.Insert(e).ok());
+  }
+  tree.SealRoots();
+  ASSERT_GT(tree.Collect().inner_nodes, 0u);
+  ExpectDirectoryListsEveryLeaf(tree);
+  // Sealing again rebuilds rather than appends.
+  tree.SealRoots();
+  ExpectDirectoryListsEveryLeaf(tree);
+}
+
+TEST(TreeDirectoryTest, ListsEveryLeafAfterRecreateRoot) {
+  const SaxTreeOptions options = SmallOptions(4, 4);
+  SaxTree tree(options);
+  const std::vector<LeafEntry> entries = RandomWalkEntries(1500, 4, 19);
+  for (const LeafEntry& e : entries) ASSERT_TRUE(tree.Insert(e).ok());
+  tree.SealRoots();
+  // Restore one populated root subtree wholesale, as delta-snapshot
+  // replay does, with only half of its entries.
+  const uint32_t key = tree.PresentRoots().front();
+  Node* root = tree.RecreateRoot(key);
+  bool keep = true;
+  for (const LeafEntry& e : entries) {
+    if (RootKey(e.sax, options.segments) != key) continue;
+    if (keep) {
+      ASSERT_TRUE(tree.InsertIntoSubtree(root, e).ok());
+    }
+    keep = !keep;
+  }
+  tree.SealRoots();
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ExpectDirectoryListsEveryLeaf(tree);
+}
+
+TEST(TreeDirectoryTest, ListsEveryLeafOfSegmentAndFoldTrees) {
+  const SaxTreeOptions options = SmallOptions(4, 8);
+  InlineExecutor exec;
+  GeneratorOptions gen;
+  gen.count = 700;
+  gen.length = options.series_length;
+  gen.seed = 23;
+  const Dataset first = GenerateDataset(gen);
+  gen.seed = 29;
+  const Dataset second = GenerateDataset(gen);
+
+  auto a = BuildSegment(first.raw(), first.count(), 0, options,
+                        /*with_sax_rows=*/false, &exec);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto b = BuildSegment(second.raw(), second.count(), first.count(),
+                        options, /*with_sax_rows=*/false, &exec);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ExpectDirectoryListsEveryLeaf((*a)->tree);
+  ExpectDirectoryListsEveryLeaf((*b)->tree);
+
+  auto merged = MergeSegments({*a, *b}, options, &exec);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ExpectDirectoryListsEveryLeaf((*merged)->tree);
+
+  std::vector<LeafEntry> entries;
+  ASSERT_TRUE(CollectTreeEntries((*a)->tree, nullptr, &entries).ok());
+  ASSERT_TRUE(CollectTreeEntries((*b)->tree, nullptr, &entries).ok());
+  SaxTree folded(options);
+  ASSERT_TRUE(BuildTreeFromEntries(&folded, entries, &exec).ok());
+  ExpectDirectoryListsEveryLeaf(folded);
+  EXPECT_EQ(folded.Collect().total_entries, first.count() + second.count());
 }
 
 }  // namespace
