@@ -352,7 +352,7 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       build.leaf_write_mbps = opts.leaf_write_mbps;
       PARISAX_ASSIGN_OR_RETURN(engine->paris_,
                                ParisIndex::Build(std::move(source), build));
-      engine->query_source_ = engine->paris_->raw_source();
+      engine->segmented_ = engine->paris_.get();
       const ParisBuildStats& bs = engine->paris_->build_stats();
       engine->build_report_.tree = bs.tree;
       if (addressable) {
@@ -375,13 +375,16 @@ Result<std::unique_ptr<Engine>> Engine::Build(SourceSpec spec,
       PARISAX_ASSIGN_OR_RETURN(
           engine->messi_,
           MessiIndex::Build(std::move(source), build, engine->pool_.get()));
-      engine->query_source_ = &engine->messi_->source();
+      engine->segmented_ = engine->messi_.get();
       const MessiBuildStats& bs = engine->messi_->build_stats();
       engine->build_report_.tree = bs.tree;
       details << "messi build, summarize=" << bs.summarize_wall_seconds
               << "s tree=" << bs.tree_wall_seconds << "s";
       break;
     }
+  }
+  if (engine->segmented_ != nullptr) {
+    engine->query_source_ = &engine->segmented_->source();
   }
   engine->build_report_.wall_seconds = wall.ElapsedSeconds();
   details << ", source=" << source_desc;
@@ -444,7 +447,7 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
           engine->messi_,
           LoadMessiIndex(snapshot_path, std::move(source),
                          engine->pool_.get()));
-      engine->query_source_ = &engine->messi_->source();
+      engine->segmented_ = engine->messi_.get();
       engine->build_report_.tree = engine->messi_->build_stats().tree;
       break;
     }
@@ -453,11 +456,12 @@ Result<std::unique_ptr<Engine>> Engine::OpenInternal(
           engine->paris_,
           LoadParisIndex(snapshot_path, std::move(source),
                          engine->pool_.get()));
-      engine->query_source_ = engine->paris_->raw_source();
+      engine->segmented_ = engine->paris_.get();
       engine->build_report_.tree = engine->paris_->build_stats().tree;
       break;
     }
   }
+  engine->query_source_ = &engine->segmented_->source();
   engine->build_report_.wall_seconds = wall.ElapsedSeconds();
   details << AlgorithmName(opts.algorithm)
           << " restored from snapshot, raw data mmap-ed from " << data_path;
@@ -500,13 +504,10 @@ Status Engine::Save(const std::string& snapshot_path) {
   MutexLock append_lock(&append_mu_);
   MutexLock pool_lock(&pool_mu_);
 
-  const auto snap = messi_ != nullptr ? messi_->serving()
-                                      : paris_ != nullptr
-                                            ? paris_->serving()
-                                            : nullptr;
-  if (snap == nullptr) {
+  if (segmented_ == nullptr) {
     return Status::Internal("snapshot-capable engine has no index");
   }
+  const auto snap = segmented_->serving();
 
   // Appends since the last head, still coverable by segments (the
   // compactor has not folded past the head), a previous file to chain
@@ -526,7 +527,8 @@ Status Engine::Save(const std::string& snapshot_path) {
       !PathIsInLineageChain(snapshot_path)) {
     std::shared_ptr<const Segment> delta;
     PARISAX_ASSIGN_OR_RETURN(
-        delta, DeltaSegmentLocked(snap, lineage_->head_series_count));
+        delta, segmented_->SegmentSince(*snap, lineage_->head_series_count,
+                                        pool_.get()));
     SnapshotDeltaSaveOptions dopts;
     dopts.algorithm = static_cast<uint8_t>(options_.algorithm);
     dopts.base_path = lineage_->head_path;
@@ -534,7 +536,7 @@ Status Engine::Save(const std::string& snapshot_path) {
     dopts.prev_series_count = lineage_->head_series_count;
     dopts.chain_depth = lineage_->head_depth + 1;
     PARISAX_RETURN_IF_ERROR(SaveSegmentDelta(
-        messi_ != nullptr ? SnapshotKind::kMessi : SnapshotKind::kParis,
+        snap->cache != nullptr ? SnapshotKind::kParis : SnapshotKind::kMessi,
         *delta, snapshot_path, pool_.get(), dopts));
     return AdoptLineageHead(snapshot_path);
   }
@@ -565,16 +567,12 @@ Status Engine::FoldAllLocked() {
   // practice.
   WriterLock gate(&index_gate_);
   for (;;) {
-    const auto snap =
-        messi_ != nullptr ? messi_->serving() : paris_->serving();
+    const auto snap = segmented_->serving();
     if (snap->segments.empty()) return Status::OK();
     bool folded = false;
     PARISAX_ASSIGN_OR_RETURN(
-        folded, messi_ != nullptr
-                    ? messi_->FoldSegments(snap, snap->segments.size(),
-                                           pool_.get())
-                    : paris_->FoldSegments(snap, snap->segments.size(),
-                                           pool_.get()));
+        folded,
+        segmented_->FoldSegments(snap, snap->segments.size(), pool_.get()));
     if (!folded) {
       return Status::Internal(
           "fold discarded while the append mutex was held");
@@ -583,48 +581,12 @@ Status Engine::FoldAllLocked() {
   }
 }
 
-Result<std::shared_ptr<const Segment>> Engine::DeltaSegmentLocked(
-    const std::shared_ptr<const ServingState>& snap, uint64_t head) {
-  // Fast path: a live segment covering exactly [head, count) — the
-  // common case when saves line up with append boundaries and the
-  // compactor has not merged across the head.
-  for (const auto& segment : snap->segments) {
-    if (segment->first == head &&
-        segment->first + segment->count == snap->count) {
-      return segment;
-    }
-  }
-  // Re-section: collect every entry with id >= head (merged segments
-  // may straddle the head) and build the covering segment fresh.
-  std::vector<LeafEntry> entries;
-  for (const auto& segment : snap->segments) {
-    if (segment->first + segment->count <= head) continue;
-    std::vector<LeafEntry> collected;
-    PARISAX_RETURN_IF_ERROR(
-        CollectTreeEntries(segment->tree, /*storage=*/nullptr,
-                           &collected));
-    for (const LeafEntry& e : collected) {
-      if (e.id >= head) entries.push_back(e);
-    }
-  }
-  const SaxTreeOptions& tree_options = messi_ != nullptr
-                                           ? messi_->tree_options()
-                                           : paris_->tree_options();
-  return SegmentFromEntries(entries, head, snap->count - head,
-                            tree_options,
-                            /*with_sax_rows=*/paris_ != nullptr,
-                            pool_.get());
-}
-
 Status Engine::SaveFullLocked(const std::string& snapshot_path) {
   PARISAX_RETURN_IF_ERROR(FoldAllLocked());
   SnapshotSaveOptions sopts;
   sopts.algorithm = static_cast<uint8_t>(options_.algorithm);
-  const Status saved =
-      messi_ != nullptr
-          ? SaveIndex(*messi_, snapshot_path, pool_.get(), sopts)
-          : SaveIndex(*paris_, snapshot_path, pool_.get(), sopts);
-  PARISAX_RETURN_IF_ERROR(saved);
+  PARISAX_RETURN_IF_ERROR(
+      SaveIndex(*segmented_, snapshot_path, pool_.get(), sopts));
   return AdoptLineageHead(snapshot_path);
 }
 
@@ -834,23 +796,13 @@ Result<SearchResponse> Engine::Search(SeriesView query,
         PARISAX_ASSIGN_OR_RETURN(
             nn, messi_->SearchApproximate(query, &response.stats));
         response.neighbors.push_back(nn);
-      } else if (request.dtw) {
-        Neighbor nn;
-        PARISAX_ASSIGN_OR_RETURN(
-            nn, messi_->SearchExactDtw(query, qopts, exec,
-                                       &response.stats));
-        response.neighbors.push_back(nn);
-      } else if (request.k > 1) {
+      } else {
         PARISAX_ASSIGN_OR_RETURN(
             response.neighbors,
-            messi_->SearchKnn(query, request.k, qopts, exec,
-                              &response.stats));
-      } else {
-        Neighbor nn;
-        PARISAX_ASSIGN_OR_RETURN(
-            nn, messi_->SearchExact(query, qopts, exec,
-                                    &response.stats));
-        response.neighbors.push_back(nn);
+            messi_->Search(query, request.k,
+                           request.dtw ? DistanceModel::kDtw
+                                       : DistanceModel::kEuclidean,
+                           qopts, exec, &response.stats));
       }
       break;
     }
@@ -865,13 +817,9 @@ Status Engine::AppendToIndexLocked(const Value* values, size_t count,
   // an atomic snapshot swap — in-flight queries keep the snapshot they
   // captured, so nothing drains. The segment is small (one batch), so
   // building it inline beats contending for the shared query pool.
-  const bool segmented =
-      (messi_ != nullptr || paris_ != nullptr) && addressable_source_;
-  if (segmented) {
+  if (segmented_ != nullptr && addressable_source_) {
     InlineExecutor inline_exec;
-    return messi_ != nullptr
-               ? messi_->Append(values, count, &inline_exec, touched)
-               : paris_->Append(values, count, &inline_exec, touched);
+    return segmented_->Append(values, count, &inline_exec, touched);
   }
   // Scan engines mutate the raw source queries scan in place, and
   // streamed index engines share buffered readers with the refine path —
@@ -880,22 +828,14 @@ Status Engine::AppendToIndexLocked(const Value* values, size_t count,
   // mid-append), then the gate.
   MutexLock pool_lock(&pool_mu_);
   WriterLock gate(&index_gate_);
-  switch (options_.algorithm) {
-    case Algorithm::kBruteForce:
-    case Algorithm::kUcrSerial:
-    case Algorithm::kUcrParallel:
-      // Scan engines have no index: growing the source is the whole
-      // ingest.
-      return source_->AppendSeries(values, count);
-    case Algorithm::kAdsPlus:
-      return Status::Internal("ADS+ append slipped past the capability gate");
-    case Algorithm::kParis:
-    case Algorithm::kParisPlus:
-      return paris_->Append(values, count, pool_.get(), touched);
-    case Algorithm::kMessi:
-      return messi_->Append(values, count, pool_.get(), touched);
+  if (segmented_ != nullptr) {
+    return segmented_->Append(values, count, pool_.get(), touched);
   }
-  return Status::Internal("unknown algorithm");
+  if (ads_ != nullptr) {
+    return Status::Internal("ADS+ append slipped past the capability gate");
+  }
+  // Scan engines have no index: growing the source is the whole ingest.
+  return source_->AppendSeries(values, count);
 }
 
 Result<AppendReport> Engine::Append(const Value* values, size_t count) {
@@ -949,10 +889,9 @@ void Engine::StartCompactorIfEnabled() {
   // fold's leaf collection, so ParIS+ engines that materialized leaves
   // on disk keep compaction synchronous (Save/Compact fold under the
   // write gate instead).
-  const bool safe =
-      messi_ != nullptr ||
-      (paris_ != nullptr && paris_->leaf_storage() == nullptr);
-  if (!safe) return;
+  if (segmented_ == nullptr || segmented_->leaf_storage() != nullptr) {
+    return;
+  }
   compactor_ = std::thread([this] { CompactorLoop(); });
   // A restored chain can start life over the trigger; fold it without
   // waiting for the first append.
@@ -1006,8 +945,7 @@ Status Engine::CompactionPass() {
   MutexLock append_lock(&append_mu_);
   InlineExecutor inline_exec;
   for (;;) {
-    const auto snap =
-        messi_ != nullptr ? messi_->serving() : paris_->serving();
+    const auto snap = segmented_->serving();
     if (snap->segments.size() <
         static_cast<size_t>(options_.compaction_trigger_segments)) {
       return Status::OK();
@@ -1027,19 +965,13 @@ Status Engine::CompactionPass() {
       // Minor: the tail is small relative to the base — merging the
       // run into one segment is cheap and keeps the base untouched.
       PARISAX_ASSIGN_OR_RETURN(
-          ok, messi_ != nullptr
-                  ? messi_->MergeSegmentRun(snap, snap->segments.size(),
-                                            &inline_exec)
-                  : paris_->MergeSegmentRun(snap, snap->segments.size(),
-                                            &inline_exec));
+          ok, segmented_->MergeSegmentRun(snap, snap->segments.size(),
+                                          &inline_exec));
     } else {
       // Major: fold everything into a fresh base.
       PARISAX_ASSIGN_OR_RETURN(
-          ok, messi_ != nullptr
-                  ? messi_->FoldSegments(snap, snap->segments.size(),
-                                         &inline_exec)
-                  : paris_->FoldSegments(snap, snap->segments.size(),
-                                         &inline_exec));
+          ok, segmented_->FoldSegments(snap, snap->segments.size(),
+                                       &inline_exec));
     }
     if (!ok) {
       return Status::Internal(

@@ -40,6 +40,7 @@
 #include "index/query_stats.h"
 #include "index/raw_source.h"
 #include "index/segment.h"
+#include "index/segmented_index.h"
 #include "index/tree.h"
 #include "io/dataset.h"
 #include "io/sim_disk.h"
@@ -365,14 +366,6 @@ class Engine : public SearchBackend {
   /// append_mu_ and pool_mu_ (the fold briefly takes the write side of
   /// index_gate_ to cover streamed sources and leaf storage).
   Status FoldAllLocked() PARISAX_REQUIRES(append_mu_, pool_mu_);
-  /// The segment a delta snapshot serializes: ids [head, count). An
-  /// existing segment with exactly that range is reused; otherwise the
-  /// covering entries are re-sectioned into a fresh segment (merged
-  /// segments may straddle the head). Caller holds append_mu_ and
-  /// pool_mu_.
-  Result<std::shared_ptr<const Segment>> DeltaSegmentLocked(
-      const std::shared_ptr<const ServingState>& snap, uint64_t head)
-      PARISAX_REQUIRES(append_mu_, pool_mu_);
   /// True when `snapshot_path` names a file of the current on-disk
   /// chain (or the chain cannot be walked): a delta must not overwrite
   /// those. Caller holds pool_mu_ and lineage_ is set.
@@ -465,6 +458,10 @@ class Engine : public SearchBackend {
   std::unique_ptr<AdsIndex> ads_;
   std::unique_ptr<ParisIndex> paris_;
   std::unique_ptr<MessiIndex> messi_;
+  /// The serving core of whichever of paris_ / messi_ is set (null for
+  /// scan engines and ADS+): every segment-lifecycle site goes through
+  /// it.
+  SegmentedIndex* segmented_ = nullptr;
 };
 
 }  // namespace parisax

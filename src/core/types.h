@@ -32,6 +32,14 @@ struct Neighbor {
   friend bool operator==(const Neighbor&, const Neighbor&) = default;
 };
 
+/// The one result order of every search: ascending distance, ties broken
+/// by the smaller id. Exact answers are deterministic under it, so any
+/// two engines (or shards, or executors) agree byte for byte.
+inline bool Closer(const Neighbor& a, const Neighbor& b) {
+  return a.distance_sq < b.distance_sq ||
+         (a.distance_sq == b.distance_sq && a.id < b.id);
+}
+
 }  // namespace parisax
 
 #endif  // PARISAX_CORE_TYPES_H_

@@ -60,9 +60,7 @@ Result<Neighbor> LeafSearchImpl(const SaxTree& tree, LeafStorage* storage,
     const float d =
         SquaredEuclideanEarlyAbandon(query, view, best.distance_sq, kernel);
     if (stats != nullptr) stats->real_dist_calcs++;
-    if (d < best.distance_sq || (d == best.distance_sq && id < best.id)) {
-      best = Neighbor{id, d};
-    }
+    if (Closer(Neighbor{id, d}, best)) best = Neighbor{id, d};
   }
   if (stats != nullptr) stats->leaves_inspected++;
   return best;

@@ -1,7 +1,8 @@
-// Bounded k-nearest result set: the generalization of the BSF used for
-// kNN queries. The pruning bound is the k-th best distance (or +inf until
-// k results exist), so it is monotonically non-increasing and all
-// BSF-based pruning arguments carry over.
+// The thread-safe result sets of the parallel searches: BestNeighbor, the
+// 1-NN best-so-far (BSF), and KnnHeap, its k-nearest generalization. The
+// pruning bound is the best distance (for kNN the k-th best, +inf until k
+// results exist), so it is monotonically non-increasing and all BSF-based
+// pruning arguments carry over. Both order results by Closer.
 #ifndef PARISAX_INDEX_KNN_HEAP_H_
 #define PARISAX_INDEX_KNN_HEAP_H_
 
@@ -12,8 +13,54 @@
 
 #include "core/types.h"
 #include "util/mutex.h"
+#include "util/threading.h"
 
 namespace parisax {
+
+/// Thread-safe single best neighbor (1-NN result set). When a shared
+/// cross-search bound cell is attached, Bound() folds it in with min()
+/// and every improvement (the seed included) is published to it — so
+/// the shard router's other searches prune on this search's progress.
+/// `best` itself only tracks distances computed *here*, which keeps the
+/// merged cross-shard result exact: the cell never drops below the true
+/// global answer, so the globally best series is never pruned on its
+/// own shard.
+class BestNeighbor {
+ public:
+  BestNeighbor(Neighbor seed, AtomicMinFloat* shared)
+      : bsf_(seed.distance_sq), shared_(shared), best_(seed) {
+    if (shared_ != nullptr) shared_->UpdateMin(seed.distance_sq);
+  }
+
+  /// Current pruning bound. Lock-free.
+  float Bound() const {
+    const float local = bsf_.Load();
+    return shared_ != nullptr ? std::min(local, shared_->Load()) : local;
+  }
+
+  /// Offers a candidate; it wins if Closer than the current best.
+  /// Thread-safe; rejections past the bound take no lock.
+  void Offer(SeriesId id, float d) {
+    if (shared_ != nullptr) shared_->UpdateMin(d);
+    if (!bsf_.UpdateMin(d) && d > bsf_.Load()) return;
+    MutexLock lock(&mu_);
+    if (Closer(Neighbor{id, d}, best_)) best_ = Neighbor{id, d};
+  }
+
+  /// Final answer; the searches read it only after the worker fan-in
+  /// (Executor::Run has joined), but it still locks for the analysis
+  /// and for any future streaming reader.
+  Neighbor Take() const {
+    MutexLock lock(&mu_);
+    return best_;
+  }
+
+ private:
+  AtomicMinFloat bsf_;
+  AtomicMinFloat* const shared_;
+  mutable Mutex mu_{"BestNeighbor::mu_", LockRank::kResultMerge};
+  Neighbor best_ PARISAX_GUARDED_BY(mu_);
+};
 
 class KnnHeap {
  public:
@@ -71,13 +118,6 @@ class KnnHeap {
   size_t k() const { return k_; }
 
  private:
-  /// Max-heap order: the worst (largest distance, then largest id)
-  /// element sits at the front.
-  static bool Closer(const Neighbor& a, const Neighbor& b) {
-    return a.distance_sq < b.distance_sq ||
-           (a.distance_sq == b.distance_sq && a.id < b.id);
-  }
-
   float BoundLocked() const PARISAX_REQUIRES(mu_) {
     return heap_.size() == k_ ? heap_.front().distance_sq
                               : std::numeric_limits<float>::infinity();

@@ -25,6 +25,8 @@ struct QueryStats {
   uint64_t queue_abandons = 0;
 
   double total_seconds = 0.0;
+  /// The approximate seed (every exact search of ParIS/ParIS+ and
+  /// MESSI, for every k and distance model).
   double approx_phase_seconds = 0.0;
   /// ParIS/ParIS+: the flat-SAX filter. MESSI: Stage 3a, leaf pruning
   /// and queue fill.

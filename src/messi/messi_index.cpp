@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <limits>
 #include <queue>
 #include <span>
 #include <utility>
 
 #include "dist/dtw.h"
-#include "index/approx_search.h"
 #include "index/knn_heap.h"
 #include "messi/isax_buffers.h"
 #include "sax/mindist.h"
@@ -64,23 +62,19 @@ struct alignas(64) SearchCounters {
 /// Leaves per Stage 3a block: one batched bound call and one Fetch&Inc.
 constexpr size_t kDirectoryGrain = 1024;
 
-/// Leaf pruning + priority-queue consumption shared by the ED-NN,
-/// ED-kNN and DTW-NN searches, over one serving snapshot. `table` bounds
-/// both node words (Stage 3a) and leaf entries (Stage 3b), each through
-/// one batched kernel call per block or leaf. `Policy` supplies the
-/// pruning bound and the entry refinement:
-///   float Bound() const;
-///   void ProcessEntry(const LeafEntry&, float lb, SearchCounters*,
-///                     int worker);
-/// ProcessEntry compares `lb` against the *current* Bound(), so batching
-/// the bounds never weakens pruning. Everything mutable lives in the
-/// policy or on this stack frame, so any number of queued searches can
-/// run concurrently on different executors.
-template <typename Policy>
+/// Leaf pruning + priority-queue consumption shared by every exact
+/// search, over one serving snapshot. `table` bounds both node words
+/// (Stage 3a) and leaf entries (Stage 3b), each through one batched
+/// kernel call per block or leaf. `results` (BestNeighbor or KnnResults)
+/// supplies the pruning bound and takes the answers; `model` (EdModel or
+/// DtwModel) refines each entry whose bound survives. Everything mutable
+/// lives in those two or on this stack frame, so any number of queued
+/// searches can run concurrently on different executors.
+template <typename Model, typename Results>
 void RunQueuedSearch(const ServingState& snap, const SymbolBoundTable& table,
-                     KernelPolicy kernel, Policy* policy, int num_queues,
-                     Executor* exec, QueryStats* stats,
-                     const CancellationToken* cancel = nullptr) {
+                     KernelPolicy kernel, const Model& model,
+                     Results* results, int num_queues, Executor* exec,
+                     QueryStats* stats, const CancellationToken* cancel) {
   std::vector<SharedQueue> queues(num_queues);
   std::vector<SearchCounters> counters(exec->num_threads());
 
@@ -111,7 +105,7 @@ void RunQueuedSearch(const ServingState& snap, const SymbolBoundTable& table,
     size_t begin, end;
     while (block_counter.NextBatch(kDirectoryGrain, &begin, &end)) {
       if (Expired(cancel)) return;
-      const float bound = policy->Bound();
+      const float bound = results->Bound();
       size_t run_first = 0;
       for (const auto& run : runs) {
         const size_t lo = std::max(begin, run_first);
@@ -164,7 +158,7 @@ void RunQueuedSearch(const ServingState& snap, const SymbolBoundTable& table,
               break;
             }
             item = q.pq.top();
-            if (item.lb >= policy->Bound()) {
+            if (item.lb >= results->Bound()) {
               q.done = true;
               ++local.queue_abandons;
               break;
@@ -180,7 +174,7 @@ void RunQueuedSearch(const ServingState& snap, const SymbolBoundTable& table,
                        lbs.data(), kernel);
           local.lb_checks += entries.size();
           for (size_t i = 0; i < entries.size(); ++i) {
-            policy->ProcessEntry(entries[i], lbs[i], &local, worker);
+            model.Refine(entries[i].id, lbs[i], results, &local, worker);
           }
         }
       }
@@ -195,76 +189,69 @@ void RunQueuedSearch(const ServingState& snap, const SymbolBoundTable& table,
   }
 }
 
-/// Thread-safe single best neighbor (1-NN result set). When a shared
-/// cross-search bound cell is attached, Bound() folds it in with min()
-/// and every improvement (the seed included) is published to it — so
-/// the shard router's other searches prune on this search's progress.
-/// `best` itself only tracks distances computed *here*, which keeps the
-/// merged cross-shard result exact: the cell never drops below the true
-/// global answer, so the globally best series is never pruned on its
-/// own shard.
-struct BestNeighbor {
-  BestNeighbor(Neighbor seed, AtomicMinFloat* shared)
-      : bsf(seed.distance_sq), shared(shared), best(seed) {
-    if (shared != nullptr) shared->UpdateMin(seed.distance_sq);
-  }
-
-  float Bound() const {
-    const float local = bsf.Load();
-    return shared != nullptr ? std::min(local, shared->Load()) : local;
-  }
-
-  void Offer(SeriesId id, float d) {
-    if (shared != nullptr) shared->UpdateMin(d);
-    if (!bsf.UpdateMin(d) && d > bsf.Load()) return;
-    MutexLock lock(&mu);
-    if (d < best.distance_sq || (d == best.distance_sq && id < best.id)) {
-      best = Neighbor{id, d};
-    }
-  }
-
-  /// Final answer; the searches read it only after the worker fan-in
-  /// (Executor::Run has joined), but it still locks for the analysis
-  /// and for any future streaming reader.
-  Neighbor Take() const {
-    MutexLock lock(&mu);
-    return best;
-  }
-
-  AtomicMinFloat bsf;
-  AtomicMinFloat* shared;
-  mutable Mutex mu{"BestNeighbor::mu", LockRank::kResultMerge};
-  Neighbor best PARISAX_GUARDED_BY(mu);
-};
-
-/// Exact-ED 1-NN policy.
-struct EdNnPolicy {
+/// Squared-ED refinement.
+struct EdModel {
   RawDataView raw;
-  KernelPolicy kernel;
   SeriesView query;
-  BestNeighbor* result;
+  KernelPolicy kernel;
 
-  float Bound() const { return result->Bound(); }
+  /// A seed candidate's full distance (the kNN seed takes whole leaves).
+  float SeedDistance(SeriesId id, float /*bound*/, int /*worker*/) const {
+    return SquaredEuclidean(query, raw.series(id), kernel);
+  }
 
-  void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
-                    int /*worker*/) {
-    const float bound = Bound();
+  /// Stage 3b: refines one leaf entry whose iSAX bound is `lb`. It
+  /// compares `lb` against the *current* bound, so batching the bounds
+  /// never weakens pruning.
+  template <typename Results>
+  void Refine(SeriesId id, float lb, Results* results,
+              SearchCounters* counters, int /*worker*/) const {
+    const float bound = results->Bound();
     if (lb >= bound) return;
     ++counters->real_dist_calcs;
-    const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
-                                                 bound, kernel);
-    if (d < bound) result->Offer(e.id, d);
+    const float d =
+        SquaredEuclideanEarlyAbandon(query, raw.series(id), bound, kernel);
+    if (d < bound) results->Offer(id, d);
   }
 };
 
-/// Exact-ED kNN policy: the bound is the k-th best distance, optionally
+/// Banded-DTW refinement: the envelope bound cascades into LB_Keogh and
+/// finally early-abandoning banded DTW.
+struct DtwModel {
+  RawDataView raw;
+  SeriesView query;
+  size_t band;
+  const std::vector<Value>* env_lower;
+  const std::vector<Value>* env_upper;
+  /// Per-worker DP arenas owned by the query (one per executor worker),
+  /// so concurrent DTW queries never share scratch state.
+  std::vector<DtwScratch>* scratches;
+
+  float SeedDistance(SeriesId id, float bound, int worker) const {
+    return DtwBand(query, raw.series(id), band, bound,
+                   &(*scratches)[worker]);
+  }
+
+  template <typename Results>
+  void Refine(SeriesId id, float lb, Results* results,
+              SearchCounters* counters, int worker) const {
+    float bound = results->Bound();
+    if (lb >= bound) return;
+    const SeriesView candidate = raw.series(id);
+    if (LbKeoghSq(*env_lower, *env_upper, candidate, bound) >= bound) return;
+    ++counters->real_dist_calcs;
+    bound = results->Bound();
+    const float d =
+        DtwBand(query, candidate, band, bound, &(*scratches)[worker]);
+    if (d < bound) results->Offer(id, d);
+  }
+};
+
+/// kNN result set: the bound is the k-th best distance, optionally
 /// folded with a shared cross-search bound. Publishing the local heap's
 /// bound is sound because every shard's local k-th distance is an upper
 /// bound on the global k-th distance.
-struct EdKnnPolicy {
-  RawDataView raw;
-  KernelPolicy kernel;
-  SeriesView query;
+struct KnnResults {
   KnnHeap* heap;
   AtomicMinFloat* shared;
 
@@ -273,93 +260,40 @@ struct EdKnnPolicy {
     return shared != nullptr ? std::min(local, shared->Load()) : local;
   }
 
-  void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
-                    int /*worker*/) {
-    const float bound = Bound();
-    if (lb >= bound) return;
-    ++counters->real_dist_calcs;
-    const float d = SquaredEuclideanEarlyAbandon(query, raw.series(e.id),
-                                                 bound, kernel);
-    if (d < bound) {
-      heap->Update(Neighbor{e.id, d});
-      if (shared != nullptr) shared->UpdateMin(heap->Bound());
+  void Offer(SeriesId id, float d) {
+    heap->Update(Neighbor{id, d});
+    if (shared != nullptr) shared->UpdateMin(heap->Bound());
+  }
+};
+
+/// The kNN and DTW seed: every entry of the approximate-match leaf of
+/// the base and of each segment, under the model's full distance.
+template <typename Model>
+void SeedFromLeaves(const ServingState& snap, const float* paa,
+                    const SaxSymbols& sax, const Model& model,
+                    KnnHeap* seeds, QueryStats* stats) {
+  const auto seed_from = [&](const SaxTree& tree) {
+    Node* leaf = tree.ApproximateLeaf(sax, paa);
+    if (leaf == nullptr) return;
+    for (const LeafEntry& e : leaf->entries()) {
+      const float d = model.SeedDistance(e.id, seeds->Bound(), 0);
+      if (stats != nullptr) stats->real_dist_calcs++;
+      seeds->Update(Neighbor{e.id, d});
     }
-  }
-};
-
-/// Exact-DTW 1-NN policy: envelope-based lower bounds cascade into
-/// LB_Keogh and finally early-abandoning banded DTW.
-struct DtwNnPolicy {
-  RawDataView raw;
-  const std::vector<Value>* env_lower;
-  const std::vector<Value>* env_upper;
-  size_t band;
-  SeriesView query;
-  BestNeighbor* result;
-  /// Per-worker DP arenas owned by the query (one per executor worker),
-  /// so concurrent DTW queries never share scratch state.
-  std::vector<DtwScratch>* scratches;
-
-  float Bound() const { return result->Bound(); }
-
-  void ProcessEntry(const LeafEntry& e, float lb, SearchCounters* counters,
-                    int worker) {
-    float bound = Bound();
-    if (lb >= bound) return;
-    const SeriesView candidate = raw.series(e.id);
-    if (LbKeoghSq(*env_lower, *env_upper, candidate, bound) >= bound) return;
-    ++counters->real_dist_calcs;
-    bound = Bound();
-    const float d =
-        DtwBand(query, candidate, band, bound, &(*scratches)[worker]);
-    if (d < bound) result->Offer(e.id, d);
-  }
-};
-
-/// Best (distance, id) across `a` and `b`.
-Neighbor BetterNeighbor(const Neighbor& a, const Neighbor& b) {
-  if (b.distance_sq < a.distance_sq ||
-      (b.distance_sq == a.distance_sq && b.id < a.id)) {
-    return b;
-  }
-  return a;
-}
-
-/// Approximate probe merged across the snapshot's base and segments:
-/// the BSF seed for the exact searches.
-Result<Neighbor> ProbeAllTrees(const ServingState& snap, SeriesView query,
-                               const float* paa, const SaxSymbols& sax,
-                               KernelPolicy kernel, QueryStats* stats) {
-  Neighbor best{0, kInf};
-  Neighbor cand;
-  PARISAX_ASSIGN_OR_RETURN(
-      cand, ApproximateLeafSearch(*snap.base, /*storage=*/nullptr, snap.raw,
-                                  query, paa, sax, kernel, stats));
-  best = BetterNeighbor(best, cand);
-  for (const auto& seg : snap.segments) {
-    PARISAX_ASSIGN_OR_RETURN(
-        cand, ApproximateLeafSearch(seg->tree, /*storage=*/nullptr,
-                                    snap.raw, query, paa, sax, kernel,
-                                    stats));
-    best = BetterNeighbor(best, cand);
-  }
-  return best;
+  };
+  seed_from(*snap.base);
+  for (const auto& seg : snap.segments) seed_from(seg->tree);
 }
 
 }  // namespace
 
 Status MessiIndex::AttachSource(std::unique_ptr<RawSeriesSource> source) {
-  if (source->length() != tree_options_.series_length) {
-    return Status::InvalidArgument(
-        "raw source length does not match the index");
-  }
   if (source->ContiguousData() == nullptr && source->count() > 0) {
     return Status::NotSupported(
         "MESSI requires a directly addressable raw source (in-memory or "
         "mmap)");
   }
-  source_ = std::move(source);
-  return Status::OK();
+  return SegmentedIndex::AttachSource(std::move(source));
 }
 
 Result<std::unique_ptr<MessiIndex>> MessiIndex::Build(
@@ -456,255 +390,106 @@ Result<std::unique_ptr<MessiIndex>> MessiIndex::Build(
   return index;
 }
 
-Status MessiIndex::Append(const Value* values, size_t count,
-                          Executor* exec,
-                          std::vector<uint32_t>* touched_roots) {
-  if (touched_roots != nullptr) touched_roots->clear();
-  if (count == 0) return Status::OK();
-  const SeriesId first = dock_.get()->count;
-
-  // Grow the source first (the source retires — never frees — the
-  // buffers behind published raw views), then build the segment from
-  // the caller's values and publish both in one atomic step. Queries
-  // keep whichever snapshot they captured.
-  PARISAX_RETURN_IF_ERROR(source_->AppendSeries(values, count));
-  std::shared_ptr<const Segment> segment;
-  PARISAX_ASSIGN_OR_RETURN(
-      segment, BuildSegment(values, count, first, tree_options_,
-                            /*with_sax_rows=*/false, exec));
-  if (touched_roots != nullptr) {
-    *touched_roots = segment->tree.PresentRoots();
-  }
-  dock_.PublishAppend(std::move(segment),
-                      RawDataView{source_->ContiguousData(),
-                                  tree_options_.series_length},
-                      source_->count());
-  // O(batch) bookkeeping: only total_entries is maintained
-  // incrementally; the other shape stats reflect the last full build.
-  build_stats_.tree.total_entries += count;
-#ifndef NDEBUG
-  {
-    const auto snap = dock_.get();
-    size_t total = snap->base->Collect().total_entries;
-    for (const auto& seg : snap->segments) {
-      total += seg->tree.Collect().total_entries;
-    }
-    assert(total == snap->count);
-  }
-#endif
-  return Status::OK();
-}
-
-Result<bool> MessiIndex::FoldSegments(
-    const std::shared_ptr<const ServingState>& snap, size_t folded,
-    Executor* exec) {
-  if (folded == 0) return true;
-  if (folded > snap->segments.size()) {
-    return Status::InvalidArgument("fold count exceeds the segment list");
-  }
-  std::vector<LeafEntry> entries;
-  PARISAX_RETURN_IF_ERROR(
-      CollectTreeEntries(*snap->base, /*storage=*/nullptr, &entries));
-  size_t new_base_count = snap->base_count;
-  for (size_t i = 0; i < folded; ++i) {
-    PARISAX_RETURN_IF_ERROR(CollectTreeEntries(snap->segments[i]->tree,
-                                               /*storage=*/nullptr,
-                                               &entries));
-    new_base_count += snap->segments[i]->count;
-  }
-  auto base = std::make_shared<SaxTree>(tree_options_);
-  PARISAX_RETURN_IF_ERROR(BuildTreeFromEntries(base.get(), entries, exec));
-  if (base->Collect().total_entries != new_base_count) {
-    return Status::Internal("MESSI fold lost series");
-  }
-  return dock_.TryFold(snap, folded, std::move(base), /*cache=*/nullptr,
-                       new_base_count);
-}
-
-Result<bool> MessiIndex::MergeSegmentRun(
-    const std::shared_ptr<const ServingState>& snap, size_t folded,
-    Executor* exec) {
-  if (folded < 2 || folded > snap->segments.size()) {
-    return Status::InvalidArgument("merge run out of range");
-  }
-  const std::vector<std::shared_ptr<const Segment>> parts(
-      snap->segments.begin(), snap->segments.begin() + folded);
-  std::shared_ptr<const Segment> merged;
-  PARISAX_ASSIGN_OR_RETURN(merged,
-                           MergeSegments(parts, tree_options_, exec));
-  return dock_.TryMergeSegments(snap, folded, std::move(merged));
-}
-
-Result<Neighbor> MessiIndex::SearchApproximate(SeriesView query,
-                                               QueryStats* stats) const {
+Result<std::vector<Neighbor>> MessiIndex::Search(
+    SeriesView query, size_t k, DistanceModel model,
+    const MessiQueryOptions& options, Executor* exec,
+    QueryStats* stats) const {
   if (query.size() != tree_options_.series_length) {
     return Status::InvalidArgument("query length does not match the index");
   }
-  WallTimer timer;
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  const bool dtw = model == DistanceModel::kDtw;
+  if (dtw && k > 1) {
+    return Status::NotSupported("MESSI DTW search is 1-NN only");
+  }
+  WallTimer total;
   const auto snap = dock_.get();
   const int w = tree_options_.segments;
+  const size_t n = tree_options_.series_length;
   float paa[kMaxSegments];
   ComputePaa(query, w, paa);
   SaxSymbols sax;
   SymbolsFromPaa(paa, w, &sax);
-  auto result =
-      ProbeAllTrees(*snap, query, paa, sax, KernelPolicy::kAuto, stats);
-  if (stats != nullptr) stats->total_seconds = timer.ElapsedSeconds();
-  return result;
+
+  // The refinement models, and the bound table Stage 3 prunes with:
+  // iSAX regions against the query's PAA (ED) or its envelope's (DTW).
+  const EdModel ed{snap->raw, query, options.kernel};
+  std::vector<Value> env_lower, env_upper;
+  std::vector<DtwScratch> scratches;
+  SymbolBoundTable table;
+  if (dtw) {
+    ComputeEnvelope(query, options.dtw_band, &env_lower, &env_upper);
+    float lower_paa[kMaxSegments], upper_paa[kMaxSegments];
+    ComputeEnvelopePaaMinMax(env_lower, env_upper, w, lower_paa, upper_paa);
+    table.BuildEnvelope(lower_paa, upper_paa, w, n);
+    scratches.resize(exec->num_threads());
+  } else {
+    table.BuildEd(paa, w, n);
+  }
+  const DtwModel dtw_model{snap->raw, query,      options.dtw_band,
+                           &env_lower, &env_upper, &scratches};
+
+  // Approximate phase: the seed bound. ED 1-NN probes each tree's
+  // matching leaf with early abandoning; kNN and DTW take every entry
+  // of those leaves under the model's full distance.
+  WallTimer approx_timer;
+  KnnHeap seeds(k);
+  Neighbor seed{0, kInf};
+  if (dtw) {
+    SeedFromLeaves(*snap, paa, sax, dtw_model, &seeds, stats);
+  } else if (k > 1) {
+    SeedFromLeaves(*snap, paa, sax, ed, &seeds, stats);
+  } else {
+    PARISAX_ASSIGN_OR_RETURN(
+        seed, ProbeAllTrees(*snap, query, paa, sax, options.kernel, stats));
+  }
+  if (stats != nullptr) {
+    stats->approx_phase_seconds = approx_timer.ElapsedSeconds();
+  }
+
+  const int num_queues =
+      options.num_queues > 0 ? options.num_queues : options.num_workers;
+  const auto run = [&](const auto& refine, auto* results) {
+    RunQueuedSearch(*snap, table, options.kernel, refine, results,
+                    num_queues, exec, stats, options.cancel);
+  };
+  std::vector<Neighbor> answer;
+  if (k == 1) {
+    if (dtw) {
+      const std::vector<Neighbor> best = seeds.Sorted();
+      if (!best.empty()) seed = best.front();
+    }
+    BestNeighbor result(seed, options.shared_bound);
+    if (dtw) {
+      run(dtw_model, &result);
+    } else {
+      run(ed, &result);
+    }
+    answer.push_back(result.Take());
+  } else {
+    if (options.shared_bound != nullptr) {
+      options.shared_bound->UpdateMin(seeds.Bound());
+    }
+    KnnResults results{&seeds, options.shared_bound};
+    run(ed, &results);
+    answer = seeds.Sorted();
+  }
+  if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
+  if (Expired(options.cancel)) {
+    return Status::DeadlineExceeded("query deadline expired mid-search");
+  }
+  return answer;
 }
 
 Result<Neighbor> MessiIndex::SearchExact(SeriesView query,
                                          const MessiQueryOptions& options,
                                          Executor* exec,
                                          QueryStats* stats) const {
-  if (query.size() != tree_options_.series_length) {
-    return Status::InvalidArgument("query length does not match the index");
-  }
-  WallTimer total;
-  const auto snap = dock_.get();
-  const int w = tree_options_.segments;
-  const size_t n = tree_options_.series_length;
-  float paa[kMaxSegments];
-  ComputePaa(query, w, paa);
-  SaxSymbols sax;
-  SymbolsFromPaa(paa, w, &sax);
-
-  WallTimer approx_timer;
-  Neighbor seed;
+  std::vector<Neighbor> answer;
   PARISAX_ASSIGN_OR_RETURN(
-      seed, ProbeAllTrees(*snap, query, paa, sax, options.kernel, stats));
-  if (stats != nullptr) {
-    stats->approx_phase_seconds = approx_timer.ElapsedSeconds();
-  }
-
-  BestNeighbor result(seed, options.shared_bound);
-  EdNnPolicy policy{snap->raw, options.kernel, query, &result};
-  SymbolBoundTable table;
-  table.BuildEd(paa, w, n);
-  const int num_queues =
-      options.num_queues > 0 ? options.num_queues : options.num_workers;
-  RunQueuedSearch(*snap, table, options.kernel, &policy, num_queues, exec,
-                  stats, options.cancel);
-  if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
-  if (Expired(options.cancel)) {
-    return Status::DeadlineExceeded("query deadline expired mid-search");
-  }
-  return result.Take();
-}
-
-Result<std::vector<Neighbor>> MessiIndex::SearchKnn(
-    SeriesView query, size_t k, const MessiQueryOptions& options,
-    Executor* exec, QueryStats* stats) const {
-  if (query.size() != tree_options_.series_length) {
-    return Status::InvalidArgument("query length does not match the index");
-  }
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  WallTimer total;
-  const auto snap = dock_.get();
-  const int w = tree_options_.segments;
-  const size_t n = tree_options_.series_length;
-  float paa[kMaxSegments];
-  ComputePaa(query, w, paa);
-  SaxSymbols sax;
-  SymbolsFromPaa(paa, w, &sax);
-
-  // Seed the heap with every entry of the approximate-match leaf of the
-  // base and of each segment.
-  KnnHeap heap(k);
-  auto seed_from = [&](const SaxTree& tree) {
-    Node* leaf = tree.ApproximateLeaf(sax, paa);
-    if (leaf == nullptr) return;
-    for (const LeafEntry& e : leaf->entries()) {
-      const float d = SquaredEuclidean(query, snap->raw.series(e.id),
-                                       options.kernel);
-      if (stats != nullptr) stats->real_dist_calcs++;
-      heap.Update(Neighbor{e.id, d});
-    }
-  };
-  seed_from(*snap->base);
-  for (const auto& seg : snap->segments) seed_from(seg->tree);
-  if (options.shared_bound != nullptr) {
-    options.shared_bound->UpdateMin(heap.Bound());
-  }
-
-  EdKnnPolicy policy{snap->raw, options.kernel, query, &heap,
-                     options.shared_bound};
-  SymbolBoundTable table;
-  table.BuildEd(paa, w, n);
-  const int num_queues =
-      options.num_queues > 0 ? options.num_queues : options.num_workers;
-  RunQueuedSearch(*snap, table, options.kernel, &policy, num_queues, exec,
-                  stats, options.cancel);
-  if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
-  if (Expired(options.cancel)) {
-    return Status::DeadlineExceeded("query deadline expired mid-search");
-  }
-  return heap.Sorted();
-}
-
-Result<Neighbor> MessiIndex::SearchExactDtw(SeriesView query,
-                                            const MessiQueryOptions& options,
-                                            Executor* exec,
-                                            QueryStats* stats) const {
-  if (query.size() != tree_options_.series_length) {
-    return Status::InvalidArgument("query length does not match the index");
-  }
-  WallTimer total;
-  const auto snap = dock_.get();
-  const int w = tree_options_.segments;
-  const size_t n = tree_options_.series_length;
-
-  std::vector<Value> env_lower, env_upper;
-  ComputeEnvelope(query, options.dtw_band, &env_lower, &env_upper);
-  float env_lower_paa[kMaxSegments], env_upper_paa[kMaxSegments];
-  ComputeEnvelopePaaMinMax(env_lower, env_upper, w, env_lower_paa,
-                           env_upper_paa);
-
-  float paa[kMaxSegments];
-  ComputePaa(query, w, paa);
-  SaxSymbols sax;
-  SymbolsFromPaa(paa, w, &sax);
-
-  // Per-query DP arenas, one per executor worker: concurrent DTW
-  // queries each own their scratch instead of funneling through shared
-  // thread_local rows.
-  std::vector<DtwScratch> scratches(exec->num_threads());
-
-  // Approximate phase: true DTW against each tree's matching leaf.
-  Neighbor seed{0, kInf};
-  auto seed_from = [&](const SaxTree& tree) {
-    Node* leaf = tree.ApproximateLeaf(sax, paa);
-    if (leaf == nullptr) return;
-    for (const LeafEntry& e : leaf->entries()) {
-      const float d = DtwBand(query, snap->raw.series(e.id),
-                              options.dtw_band, seed.distance_sq,
-                              &scratches[0]);
-      if (stats != nullptr) stats->real_dist_calcs++;
-      if (d < seed.distance_sq ||
-          (d == seed.distance_sq && e.id < seed.id)) {
-        seed = Neighbor{e.id, d};
-      }
-    }
-  };
-  seed_from(*snap->base);
-  for (const auto& seg : snap->segments) seed_from(seg->tree);
-
-  BestNeighbor result(seed, options.shared_bound);
-  DtwNnPolicy policy{.raw = snap->raw, .env_lower = &env_lower,
-                     .env_upper = &env_upper, .band = options.dtw_band,
-                     .query = query, .result = &result,
-                     .scratches = &scratches};
-  SymbolBoundTable table;
-  table.BuildEnvelope(env_lower_paa, env_upper_paa, w, n);
-  const int num_queues =
-      options.num_queues > 0 ? options.num_queues : options.num_workers;
-  RunQueuedSearch(*snap, table, options.kernel, &policy, num_queues, exec,
-                  stats, options.cancel);
-  if (stats != nullptr) stats->total_seconds = total.ElapsedSeconds();
-  if (Expired(options.cancel)) {
-    return Status::DeadlineExceeded("query deadline expired mid-search");
-  }
-  return result.Take();
+      answer, Search(query, 1, DistanceModel::kEuclidean, options, exec,
+                     stats));
+  return answer.front();
 }
 
 }  // namespace parisax

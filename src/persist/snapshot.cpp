@@ -682,48 +682,31 @@ class SnapshotReader {
     return Status::OK();
   }
 
-  static Result<std::unique_ptr<MessiIndex>> LoadMessi(
-      const std::string& path, std::unique_ptr<RawSeriesSource> source,
-      Executor* exec) {
+  /// The restore shared by both index families: walks the chain from
+  /// `path`, checks it holds `kind` over `source`'s collection shape,
+  /// and publishes the restored serving snapshot. Leaves were inlined at
+  /// save time, so a restored index never needs a LeafStorage; streamed
+  /// sources have no contiguous block, so raw.base stays null and
+  /// queries fetch through the source, exactly as after a build.
+  template <typename Index>
+  static Result<std::unique_ptr<Index>> Load(
+      const std::string& path, SnapshotKind kind,
+      std::unique_ptr<RawSeriesSource> source, Executor* exec) {
     std::vector<SnapshotChainEntry> chain;
     PARISAX_ASSIGN_OR_RETURN(chain, ReadSnapshotChain(path));
     const SnapshotInfo& head = chain.back().info;
-    if (head.kind != SnapshotKind::kMessi) {
+    if (head.kind != kind) {
       return Status::InvalidArgument(
-          "snapshot does not hold a MESSI index: " + path);
+          std::string("snapshot does not hold a ") +
+          (kind == SnapshotKind::kMessi ? "MESSI" : "ParIS") +
+          " index: " + path);
     }
     PARISAX_RETURN_IF_ERROR(CheckSourceShape(head, *source));
-    auto index = std::unique_ptr<MessiIndex>(new MessiIndex(head.tree));
+    auto index = std::unique_ptr<Index>(new Index(head.tree));
     PARISAX_RETURN_IF_ERROR(index->AttachSource(std::move(source)));
     auto state = std::make_shared<ServingState>();
     PARISAX_RETURN_IF_ERROR(RestoreChain(
         chain, exec, state.get(), &index->build_stats_.tree));
-    state->raw = RawDataView{index->source_->ContiguousData(),
-                             head.tree.series_length};
-    index->dock_.Publish(std::move(state));
-    return index;
-  }
-
-  static Result<std::unique_ptr<ParisIndex>> LoadParis(
-      const std::string& path, std::unique_ptr<RawSeriesSource> source,
-      Executor* exec) {
-    std::vector<SnapshotChainEntry> chain;
-    PARISAX_ASSIGN_OR_RETURN(chain, ReadSnapshotChain(path));
-    const SnapshotInfo& head = chain.back().info;
-    if (head.kind != SnapshotKind::kParis) {
-      return Status::InvalidArgument(
-          "snapshot does not hold a ParIS index: " + path);
-    }
-    PARISAX_RETURN_IF_ERROR(CheckSourceShape(head, *source));
-    auto index = std::unique_ptr<ParisIndex>(new ParisIndex(head.tree));
-    index->source_ = std::move(source);
-    // Leaves were inlined at save time; the restored index never needs a
-    // LeafStorage.
-    auto state = std::make_shared<ServingState>();
-    PARISAX_RETURN_IF_ERROR(RestoreChain(
-        chain, exec, state.get(), &index->build_stats_.tree));
-    // Streamed sources have no contiguous block; raw.base stays null and
-    // queries fetch through the source, exactly as after a build.
     state->raw = RawDataView{index->source_->ContiguousData(),
                              head.tree.series_length};
     index->dock_.Publish(std::move(state));
@@ -844,7 +827,7 @@ Status ValidateDeltaOptions(const SnapshotDeltaSaveOptions& options,
 
 }  // namespace
 
-Status SaveIndex(const MessiIndex& index, const std::string& path,
+Status SaveIndex(const SegmentedIndex& index, const std::string& path,
                  Executor* exec, const SnapshotSaveOptions& options) {
   // One coherent snapshot for the whole save (the Engine additionally
   // holds its append mutex, so nothing publishes meanwhile).
@@ -854,28 +837,13 @@ Status SaveIndex(const MessiIndex& index, const std::string& path,
         "full snapshot requires a fully folded index: fold the live "
         "segments first");
   }
-  return SaveSnapshot(SnapshotKind::kMessi, options.algorithm,
-                      *snap->base, /*sax_rows=*/nullptr,
-                      /*sax_row_count=*/0, /*storage=*/nullptr,
-                      snap->count, snap->base->PresentRoots(),
-                      /*link=*/"", path, exec);
-}
-
-Status SaveIndex(const ParisIndex& index, const std::string& path,
-                 Executor* exec, const SnapshotSaveOptions& options) {
-  const auto snap = index.serving();
-  if (!snap->segments.empty()) {
-    return Status::InvalidArgument(
-        "full snapshot requires a fully folded index: fold the live "
-        "segments first");
-  }
-  return SaveSnapshot(SnapshotKind::kParis, options.algorithm,
-                      *snap->base,
-                      snap->cache->count() > 0 ? &snap->cache->At(0)
-                                               : nullptr,
-                      snap->cache->count(), index.leaf_storage(),
-                      snap->count, snap->base->PresentRoots(),
-                      /*link=*/"", path, exec);
+  const FlatSaxCache* cache = snap->cache.get();
+  return SaveSnapshot(
+      cache != nullptr ? SnapshotKind::kParis : SnapshotKind::kMessi,
+      options.algorithm, *snap->base,
+      cache != nullptr && cache->count() > 0 ? &cache->At(0) : nullptr,
+      cache != nullptr ? cache->count() : 0, index.leaf_storage(),
+      snap->count, snap->base->PresentRoots(), /*link=*/"", path, exec);
 }
 
 Status SaveSegmentDelta(SnapshotKind kind, const Segment& segment,
@@ -904,13 +872,15 @@ Status SaveSegmentDelta(SnapshotKind kind, const Segment& segment,
 Result<std::unique_ptr<MessiIndex>> LoadMessiIndex(
     const std::string& path, std::unique_ptr<RawSeriesSource> source,
     Executor* exec) {
-  return SnapshotReader::LoadMessi(path, std::move(source), exec);
+  return SnapshotReader::Load<MessiIndex>(path, SnapshotKind::kMessi,
+                                          std::move(source), exec);
 }
 
 Result<std::unique_ptr<ParisIndex>> LoadParisIndex(
     const std::string& path, std::unique_ptr<RawSeriesSource> source,
     Executor* exec) {
-  return SnapshotReader::LoadParis(path, std::move(source), exec);
+  return SnapshotReader::Load<ParisIndex>(path, SnapshotKind::kParis,
+                                          std::move(source), exec);
 }
 
 }  // namespace parisax

@@ -6,7 +6,6 @@
 
 #include "dist/dtw.h"
 #include "index/knn_heap.h"
-#include "util/mutex.h"
 #include "util/timer.h"
 
 namespace parisax {
@@ -14,12 +13,6 @@ namespace parisax {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-bool Improves(const Neighbor& candidate, const Neighbor& best) {
-  return candidate.distance_sq < best.distance_sq ||
-         (candidate.distance_sq == best.distance_sq &&
-          candidate.id < best.id);
-}
 
 /// The in-memory scans iterate a RawDataView over the source's
 /// contiguous block. Addressability is a documented precondition (the
@@ -48,7 +41,7 @@ Neighbor BruteForceNn(const RawSeriesSource& source, SeriesView query,
   Neighbor best{0, kInf};
   for (SeriesId i = 0; i < view.count; ++i) {
     const float d = SquaredEuclidean(query, raw.series(i), kernel);
-    if (Improves({i, d}, best)) best = {i, d};
+    if (Closer({i, d}, best)) best = {i, d};
   }
   return best;
 }
@@ -64,11 +57,7 @@ std::vector<Neighbor> BruteForceKnn(const RawSeriesSource& source,
     all.push_back({i, SquaredEuclidean(query, raw.series(i), kernel)});
   }
   const size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      return a.distance_sq < b.distance_sq ||
-                             (a.distance_sq == b.distance_sq && a.id < b.id);
-                    });
+  std::partial_sort(all.begin(), all.begin() + take, all.end(), Closer);
   all.resize(take);
   return all;
 }
@@ -103,9 +92,7 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
   WallTimer timer;
   const ScanView view = ViewOf(source);
   const RawDataView raw = view.raw;
-  AtomicMinFloat bsf(kInf);
-  Mutex best_mu{"best_mu", LockRank::kResultMerge};
-  Neighbor best{0, kInf};
+  BestNeighbor best(Neighbor{0, kInf}, /*shared=*/nullptr);
   std::atomic<uint64_t> abandoned{0};
 
   constexpr size_t kGrain = 256;
@@ -115,13 +102,11 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
     size_t begin, end;
     while (counter.NextBatch(kGrain, &begin, &end)) {
       for (SeriesId i = begin; i < end; ++i) {
-        const float bound = bsf.Load();
+        const float bound = best.Bound();
         const float d = SquaredEuclideanEarlyAbandon(query, raw.series(i),
                                                      bound, kernel);
         if (d < bound) {
-          bsf.UpdateMin(d);
-          MutexLock lock(&best_mu);
-          if (Improves({i, d}, best)) best = {i, d};
+          best.Offer(i, d);
         } else {
           ++local_abandoned;
         }
@@ -135,7 +120,7 @@ Neighbor UcrScanParallel(const RawSeriesSource& source, SeriesView query,
     stats->abandoned += abandoned.load();
     stats->seconds += timer.ElapsedSeconds();
   }
-  return best;
+  return best.Take();
 }
 
 std::vector<Neighbor> UcrKnnParallel(const RawSeriesSource& source,
@@ -217,7 +202,7 @@ Neighbor BruteForceDtwNn(const RawSeriesSource& source, SeriesView query,
   Neighbor best{0, kInf};
   for (SeriesId i = 0; i < view.count; ++i) {
     const float d = DtwBand(query, raw.series(i), band, kInf);
-    if (Improves({i, d}, best)) best = {i, d};
+    if (Closer({i, d}, best)) best = {i, d};
   }
   return best;
 }
@@ -259,9 +244,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
   std::vector<Value> lower, upper;
   ComputeEnvelope(query, band, &lower, &upper);
 
-  AtomicMinFloat bsf(kInf);
-  Mutex best_mu{"best_mu", LockRank::kResultMerge};
-  Neighbor best{0, kInf};
+  BestNeighbor best(Neighbor{0, kInf}, /*shared=*/nullptr);
   std::atomic<uint64_t> dtw_calcs{0}, abandoned{0};
 
   constexpr size_t kGrain = 128;
@@ -271,7 +254,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
     size_t begin, end;
     while (counter.NextBatch(kGrain, &begin, &end)) {
       for (SeriesId i = begin; i < end; ++i) {
-        const float bound = bsf.Load();
+        const float bound = best.Bound();
         const float lb = LbKeoghSq(lower, upper, raw.series(i), bound);
         if (lb >= bound) {
           ++local_abandoned;
@@ -279,11 +262,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
         }
         const float d = DtwBand(query, raw.series(i), band, bound);
         ++local_calcs;
-        if (d < bound) {
-          bsf.UpdateMin(d);
-          MutexLock lock(&best_mu);
-          if (Improves({i, d}, best)) best = {i, d};
-        }
+        if (d < bound) best.Offer(i, d);
       }
     }
     dtw_calcs.fetch_add(local_calcs, std::memory_order_relaxed);
@@ -295,7 +274,7 @@ Neighbor DtwScanParallel(const RawSeriesSource& source, SeriesView query,
     stats->abandoned += abandoned.load();
     stats->seconds += timer.ElapsedSeconds();
   }
-  return best;
+  return best.Take();
 }
 
 }  // namespace parisax

@@ -77,11 +77,7 @@ SearchResponse MergeShardResponses(std::vector<SearchResponse> parts,
     merged.stats.filter_phase_seconds += parts[s].stats.filter_phase_seconds;
     merged.stats.refine_phase_seconds += parts[s].stats.refine_phase_seconds;
   }
-  std::sort(merged.neighbors.begin(), merged.neighbors.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.distance_sq < b.distance_sq ||
-                     (a.distance_sq == b.distance_sq && a.id < b.id);
-            });
+  std::sort(merged.neighbors.begin(), merged.neighbors.end(), Closer);
   // An approximate probe answers with one neighbor per backend; exact
   // searches answer min(k, collection size) like a single engine.
   const size_t want =

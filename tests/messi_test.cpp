@@ -138,13 +138,19 @@ TEST(MessiTest, QueryStatsShowTreePruning) {
   const TreeStats tree_stats = (*index)->tree().Collect();
   const auto check_phases = [](const QueryStats& stats, const char* what,
                                size_t q) {
-    // Stage 3a (pruning the leaf directory) and Stage 3b (consuming the
-    // queues) report their own wall times inside the query's total.
+    // The approximate seed, Stage 3a (pruning the leaf directory) and
+    // Stage 3b (consuming the queues) report their own wall times inside
+    // the query's total.
+    EXPECT_GT(stats.approx_phase_seconds, 0.0) << what << " q=" << q;
     EXPECT_GT(stats.filter_phase_seconds, 0.0) << what << " q=" << q;
     EXPECT_GT(stats.refine_phase_seconds, 0.0) << what << " q=" << q;
     EXPECT_LE(stats.filter_phase_seconds, stats.total_seconds)
         << what << " q=" << q;
     EXPECT_LE(stats.refine_phase_seconds, stats.total_seconds)
+        << what << " q=" << q;
+    EXPECT_LE(stats.approx_phase_seconds + stats.filter_phase_seconds +
+                  stats.refine_phase_seconds,
+              stats.total_seconds)
         << what << " q=" << q;
   };
   for (size_t q = 0; q < queries.count(); ++q) {
@@ -162,11 +168,17 @@ TEST(MessiTest, QueryStatsShowTreePruning) {
 
     const SeriesView query = queries.series(q);
     QueryStats knn_stats;
-    ASSERT_TRUE((*index)->SearchKnn(query, 5, {}, &pool, &knn_stats).ok());
+    ASSERT_TRUE((*index)
+                    ->Search(query, 5, DistanceModel::kEuclidean, {}, &pool,
+                             &knn_stats)
+                    .ok());
     check_phases(knn_stats, "knn", q);
 
     QueryStats dtw_stats;
-    ASSERT_TRUE((*index)->SearchExactDtw(query, {}, &pool, &dtw_stats).ok());
+    ASSERT_TRUE(
+        (*index)
+            ->Search(query, 1, DistanceModel::kDtw, {}, &pool, &dtw_stats)
+            .ok());
     check_phases(dtw_stats, "dtw", q);
   }
 }
@@ -214,7 +226,8 @@ TEST(MessiTest, SearchesMatchBruteForceWithLiveSegments) {
 
       const std::vector<Neighbor> knn_oracle =
           BruteForceKnn(all, query, 7, KernelPolicy::kScalar);
-      auto knn = (*index)->SearchKnn(query, 7, qopts, &pool);
+      auto knn =
+          (*index)->Search(query, 7, DistanceModel::kEuclidean, qopts, &pool);
       ASSERT_TRUE(knn.ok());
       ASSERT_EQ(knn->size(), knn_oracle.size());
       for (size_t i = 0; i < knn->size(); ++i) {
@@ -224,9 +237,9 @@ TEST(MessiTest, SearchesMatchBruteForceWithLiveSegments) {
       }
 
       const Neighbor dtw_oracle = BruteForceDtwNn(all, query, qopts.dtw_band);
-      auto dtw = (*index)->SearchExactDtw(query, qopts, &pool);
+      auto dtw = (*index)->Search(query, 1, DistanceModel::kDtw, qopts, &pool);
       ASSERT_TRUE(dtw.ok());
-      EXPECT_NEAR(dtw->distance_sq, dtw_oracle.distance_sq,
+      EXPECT_NEAR(dtw->front().distance_sq, dtw_oracle.distance_sq,
                   1e-3f * std::max(1.0f, dtw_oracle.distance_sq))
           << "queues=" << queues << " q=" << q;
     }
@@ -304,7 +317,8 @@ TEST(MessiTest, KnnDegeneratesGracefully) {
   ASSERT_TRUE(index.ok());
   const Dataset queries = GenerateQueries(DatasetKind::kRandomWalk, 1, 64, 21);
   // k larger than the collection returns everything, sorted.
-  auto result = (*index)->SearchKnn(queries.series(0), 100, {}, &pool);
+  auto result = (*index)->Search(queries.series(0), 100,
+                                 DistanceModel::kEuclidean, {}, &pool);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 50u);
   for (size_t i = 1; i < result->size(); ++i) {

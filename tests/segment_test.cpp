@@ -13,15 +13,19 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
+#include "index/raw_source.h"
 #include "index/segment.h"
+#include "index/segmented_index.h"
 #include "io/format.h"
 #include "io/generator.h"
 #include "messi/messi_index.h"
 #include "paris/paris_index.h"
 #include "persist/snapshot.h"
+#include "scan/ucr_scan.h"
 #include "support/temp_dir.h"
 
 namespace parisax {
@@ -251,6 +255,136 @@ TEST(SegmentTest, OpenRestoresLiveSegments) {
     }
   }
 }
+
+// --- compare-and-publish discards --------------------------------------
+
+/// One index family driven through its serving core; the exact search is
+/// the only family-specific call.
+struct CoreUnderTest {
+  std::unique_ptr<MessiIndex> messi;
+  std::unique_ptr<ParisIndex> paris;
+  SegmentedIndex* core = nullptr;
+
+  Result<Neighbor> SearchExact(SeriesView query, Executor* exec) const {
+    if (messi != nullptr) return messi->SearchExact(query, {}, exec);
+    return paris->SearchExact(query, {}, exec);
+  }
+};
+
+class SegmentDiscardTest : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(SegmentDiscardTest, StaleFoldAndMergeAreDiscarded) {
+  const Dataset full = MakeData(700, 251);
+  ThreadPool pool(2);
+  const SaxTreeOptions tree{
+      .segments = 8, .leaf_capacity = 16, .series_length = kLength};
+  CoreUnderTest index;
+  if (GetParam() == Algorithm::kMessi) {
+    MessiBuildOptions build;
+    build.num_workers = 2;
+    build.tree = tree;
+    auto built = MessiIndex::Build(
+        std::make_unique<InMemorySource>(Slice(full, 0, 400)), build, &pool);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    index.messi = std::move(*built);
+    index.core = index.messi.get();
+  } else {
+    ParisBuildOptions build;
+    build.num_workers = 2;
+    build.plus_mode = true;
+    build.tree = tree;
+    auto built = ParisIndex::Build(
+        std::make_unique<InMemorySource>(Slice(full, 0, 400)), build);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    index.paris = std::move(*built);
+    index.core = index.paris.get();
+  }
+  SegmentedIndex& core = *index.core;
+  for (const auto& [first, count] :
+       {std::pair<size_t, size_t>{400, 100}, {500, 120}, {620, 80}}) {
+    const Dataset batch = Slice(full, first, count);
+    ASSERT_TRUE(core.Append(batch.raw(), batch.count(), &pool).ok());
+  }
+
+  const auto stale = core.serving();
+  ASSERT_EQ(stale->segments.size(), 3u);
+  auto merged = core.MergeSegmentRun(stale, 3, &pool);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_TRUE(*merged);
+  const auto live = core.serving();
+  ASSERT_EQ(live->segments.size(), 1u);
+  EXPECT_EQ(live->base, stale->base);
+
+  // The merge replaced every segment `stale` names, so a fold or merge
+  // computed from it must be discarded and leave the serving state
+  // pointer-identical.
+  for (const size_t folded : {1, 2, 3}) {
+    auto fold = core.FoldSegments(stale, folded, &pool);
+    ASSERT_TRUE(fold.ok()) << fold.status().ToString();
+    EXPECT_FALSE(*fold) << "folded=" << folded;
+    EXPECT_EQ(core.serving(), live) << "folded=" << folded;
+  }
+  auto remerge = core.MergeSegmentRun(stale, 2, &pool);
+  ASSERT_TRUE(remerge.ok()) << remerge.status().ToString();
+  EXPECT_FALSE(*remerge);
+  EXPECT_EQ(core.serving(), live);
+
+  // Every answer still matches brute force over all 700 series. Member
+  // queries (one in the base, two in the merged segment) must also be
+  // found by the approximate probe, which reads each tree's own leaf.
+  const Dataset randoms =
+      GenerateQueries(DatasetKind::kRandomWalk, 4, kLength, 252);
+  std::vector<SeriesView> queries = {full.series(7), full.series(450),
+                                     full.series(690)};
+  for (size_t q = 0; q < randoms.count(); ++q) {
+    queries.push_back(randoms.series(q));
+  }
+  const auto expect_oracle = [&](const std::string& stage) {
+    ASSERT_EQ(core.series_count(), full.count()) << stage;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Neighbor oracle =
+          BruteForceNn(core.source(), queries[q], KernelPolicy::kAuto);
+      auto exact = index.SearchExact(queries[q], &pool);
+      ASSERT_TRUE(exact.ok()) << stage << ": " << exact.status().ToString();
+      EXPECT_EQ(exact->id, oracle.id) << stage << " q=" << q;
+      EXPECT_EQ(exact->distance_sq, oracle.distance_sq)
+          << stage << " q=" << q;
+      if (q < 3) {
+        auto approx = core.SearchApproximate(queries[q]);
+        ASSERT_TRUE(approx.ok()) << stage;
+        EXPECT_EQ(approx->distance_sq, 0.0f) << stage << " q=" << q;
+      }
+    }
+  };
+  expect_oracle("after discards");
+
+  // A fold that lands replaces the base (and, for ParIS, rebuilds the
+  // flat-SAX cache over it); a fold computed from the pre-fold state
+  // then names a dead base and is discarded too.
+  auto fold = core.FoldSegments(live, 1, &pool);
+  ASSERT_TRUE(fold.ok()) << fold.status().ToString();
+  ASSERT_TRUE(*fold);
+  const auto rebased = core.serving();
+  EXPECT_TRUE(rebased->segments.empty());
+  EXPECT_EQ(rebased->base_count, full.count());
+  EXPECT_EQ(rebased->cache != nullptr, GetParam() != Algorithm::kMessi);
+  if (rebased->cache != nullptr) {
+    EXPECT_EQ(rebased->cache->count(), full.count());
+  }
+  auto stale_fold = core.FoldSegments(live, 1, &pool);
+  ASSERT_TRUE(stale_fold.ok()) << stale_fold.status().ToString();
+  EXPECT_FALSE(*stale_fold);
+  EXPECT_EQ(core.serving(), rebased);
+  expect_oracle("after the fold");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, SegmentDiscardTest,
+    ::testing::Values(Algorithm::kMessi, Algorithm::kParisPlus),
+    [](const ::testing::TestParamInfo<Algorithm>& info) {
+      return std::string(info.param == Algorithm::kMessi ? "messi"
+                                                         : "paris_plus");
+    });
 
 // --- the workload storm -----------------------------------------------
 
